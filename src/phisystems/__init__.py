@@ -34,6 +34,7 @@ from .goldbach import (
     TernaryWitness,
     binary_count,
     binary_solutions,
+    count_table,
     decomposition_to_xy,
     fermat_system_solutions,
     first_binary_witness,
@@ -94,6 +95,7 @@ __all__ = [
     "certify",
     "certify_verdict",
     "count_identity_check",
+    "count_table",
     "decomposition_to_xy",
     "emit_counts",
     "emit_report",

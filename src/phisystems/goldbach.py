@@ -13,6 +13,15 @@ component 2x - n is odd by parity and plays a designated role: a sum
 like 19 = 3 + 5 + 11 yields one witness per valid middle choice.
 Restricting the product of the first two components to multiples of 3
 ties the triple form back to the pair form at total n - 3.
+
+``count_table`` gives the pair, triple or triple-with-3 count of every n
+up to a bound at once, from exact FFT convolutions of the odd-prime mask;
+sweeps in count mode read their counts from it. The per-n functions
+``binary_count``, ``ternary_count`` and ``peculiar_count`` stay the
+reference it is tested against. A float convolution is accepted only when
+every value lies within 0.25 of an integer and the rounded values sum to
+the product of the input sums, an exact integer identity; otherwise it
+raises, and there is no fallback route.
 """
 
 from bisect import bisect_right
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable
+from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, SpfTable
 from .certify import VerdictTable, certify_verdict
 
 __all__ = [
@@ -29,6 +38,7 @@ __all__ = [
     "TernaryWitness",
     "binary_count",
     "binary_solutions",
+    "count_table",
     "decomposition_to_xy",
     "fermat_system_solutions",
     "first_binary_witness",
@@ -289,6 +299,99 @@ def first_peculiar_witness(n: int, table: SpfTable) -> TernaryWitness | None:
             m = (n - q) // 2
             return TernaryWitness(n=n, x=(n + q) // 2, y=m - 3, p=3, q=q, r=r)
     return None
+
+
+def _exact_convolution(
+    a: np.ndarray, b: np.ndarray, keep: int, memory_budget: int
+) -> np.ndarray:
+    """The first ``keep`` terms of the linear convolution of two
+    nonnegative integer arrays, as int64, from one float64 FFT.
+
+    The result is rejected unless every value lies within 0.25 of an
+    integer and the rounded values sum to sum(a) * sum(b) exactly. Passing
+    ``b is a`` reuses one spectrum for a self-convolution.
+    """
+    size = len(a) + len(b) - 1
+    length = 1 << (size - 1).bit_length()  # a power of two keeps the FFT fast
+    # the padded float64 input, two complex128 spectra (two float64 arrays
+    # each), the float64 inverse and its rounded copy, the int64 result
+    needed = 6 * 8 * length
+    if needed > memory_budget:
+        raise MemoryBudgetError(
+            f"FFT convolution of length {length} needs {needed} bytes, "
+            f"budget is {memory_budget}"
+        )
+    spectrum = np.fft.rfft(a, length)
+    spectrum *= spectrum if b is a else np.fft.rfft(b, length)
+    values = np.fft.irfft(spectrum, length)[:size]
+    del spectrum
+    rounded = np.rint(values)
+    values -= rounded
+    worst = float(np.abs(values, out=values).max())
+    if worst >= 0.25:
+        raise ArithmeticError(
+            f"FFT convolution of length {length} is not exact: "
+            f"a value lies {worst:.3g} from the nearest integer"
+        )
+    total = int(np.sum(rounded, dtype=np.int64))
+    expected = int(a.sum()) * int(b.sum())
+    if total != expected:
+        raise ArithmeticError(
+            f"FFT convolution of length {length} is not exact: "
+            f"rounded values sum to {total}, expected {expected}"
+        )
+    return rounded[:keep].astype(np.int64)
+
+
+def count_table(
+    task: str,
+    hi: int,
+    table: SpfTable,
+    *,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+) -> np.ndarray:
+    """The count of one task for every n <= hi, as an int64 array indexed by n.
+
+    task "binary" gives binary_count(n) for n >= 2; "ternary" and
+    "peculiar" give ternary_count(n) and peculiar_count(n) for odd n > 5.
+    Every other entry is 0. All counts come from the self-convolution of
+    the odd-prime mask, which counts ordered odd-prime pairs of each even
+    total, and for "ternary" one more convolution of the pair counts with
+    that mask. Raises MemoryBudgetError before an FFT whose buffers would
+    exceed memory_budget, and ArithmeticError if a convolution is inexact.
+    """
+    if task not in ("binary", "ternary", "peculiar"):
+        raise ValueError(f"no count table for task {task!r}")
+    if hi < 0:
+        raise ValueError(f"hi must be >= 0, got {hi}")
+    top = 2 * hi if task == "binary" else hi
+    if top > table.limit:
+        raise ValueError(
+            f"counts through n = {hi} need the sieve through {top}, "
+            f"table stops at {table.limit}"
+        )
+    odd = table.is_prime_mask[: top + 1].astype(np.uint8)
+    odd[2:3] = 0
+    ordered = _exact_convolution(odd, odd, top + 1, memory_budget)
+    # pairs[s] counts splits s = p + r with p <= r prime: for even s >= 6
+    # both are odd, and each pair p < r appears twice in ordered[s]
+    pairs = np.zeros(top + 1, dtype=np.int64)
+    pairs[::2] = (ordered[::2] + odd[: top // 2 + 1]) // 2
+    pairs[4:5] = 1  # 4 = 2 + 2
+    counts = np.zeros(hi + 1, dtype=np.int64)
+    if task == "binary":
+        counts[2:3] = 1
+        counts[3:] = pairs[6::2]
+    elif task == "ternary":
+        # sum over odd primes q <= n - 4 of pairs[n - q]; pairs[s] = 0 for s < 4
+        triples = _exact_convolution(pairs, odd, hi + 1, memory_budget)
+        counts[7::2] = triples[7::2]
+    else:
+        # q = 3 branch: pair splits of n - 3; p = 3 branch: ordered odd-prime
+        # pairs (q, r) of n - 3 whose q is not 3
+        n = np.arange(7, hi + 1, 2)
+        counts[n] = pairs[n - 3] + ordered[n - 3] - odd[n - 6]
+    return counts
 
 
 def two_prime_sum_exists(total: int, table: SpfTable) -> bool:

@@ -3,7 +3,9 @@
 A sweep partitions [lo, hi] into contiguous chunks, evaluates each n
 independently (optionally on a pool of forked workers that share the
 read-only tables), and merges chunk results in range order, so the report
-is identical for any worker count. The JSON and CSV renderings carry no
+is identical for any worker count. In count mode the pair, triple and
+triple-with-3 tasks read every count from one ``goldbach.count_table``
+built before the workers fork. The JSON and CSV renderings carry no
 timing or parallelism information for the same reason; elapsed time lives
 on the report object and in the human table format only.
 """
@@ -15,6 +17,8 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import bertrand, goldbach, oracle
 from .arith import DEFAULT_MEMORY_BUDGET, PrimePi, SpfTable, build_spf
@@ -167,12 +171,19 @@ def emit_counts(report: RangeReport) -> bytes:
 class _Runtime:
     """Read-only tables shared by every worker of one sweep."""
 
-    __slots__ = ("table", "pi", "verdicts")
+    __slots__ = ("table", "pi", "verdicts", "counts")
 
-    def __init__(self, table: SpfTable, pi: PrimePi | None, verdicts: VerdictTable | None):
+    def __init__(
+        self,
+        table: SpfTable,
+        pi: PrimePi | None,
+        verdicts: VerdictTable | None,
+        counts: np.ndarray | None,
+    ):
         self.table = table
         self.pi = pi
         self.verdicts = verdicts
+        self.counts = counts
 
 
 def _sieve_limit(task: str, hi: int, options: SweepOptions) -> int:
@@ -211,7 +222,8 @@ def _row_bertrand(n, rt, options):
         return (1 if found else 0), (w.x if found else None), found
     count = bertrand.bertrand_count(n, rt.table)
     fw = bertrand.first_bertrand_witness(n, rt.table)
-    ok = count >= 1 and bertrand.count_identity_check(n, rt.table, rt.pi)
+    # the identity count_identity_check states, without counting twice
+    ok = count >= 1 and count == rt.pi(2 * n - 2) - rt.pi(n)
     return count, (fw.x if fw else None), ok
 
 
@@ -229,7 +241,7 @@ def _row_binary(n, rt, options):
         w = goldbach.first_binary_witness(n, rt.table)
         found = w is not None
         return (1 if found else 0), (w.x if found else None), found
-    count = goldbach.binary_count(n, rt.table)
+    count = int(rt.counts[n])
     w = goldbach.first_binary_witness(n, rt.table)
     return count, (w.x if w else None), count >= 1
 
@@ -240,7 +252,7 @@ def _row_ternary(n, rt, options):
     fw = (w.x, w.y) if found else None
     if options.first_witness_only:
         return (1 if found else 0), fw, found
-    return goldbach.ternary_count(n, rt.table), fw, found
+    return int(rt.counts[n]), fw, found
 
 
 def _row_peculiar(n, rt, options):
@@ -249,12 +261,13 @@ def _row_peculiar(n, rt, options):
     fw = (w.x, w.y) if found else None
     if options.first_witness_only:
         return (1 if found else 0), fw, found
-    return goldbach.peculiar_count(n, rt.table), fw, found
+    return int(rt.counts[n]), fw, found
 
 
 def _row_proposition(n, rt, options):
-    ok = goldbach.proposition_check(n, rt.table)
+    # the check proposition_check makes, with the witness computed once
     w = goldbach.first_peculiar_witness(n, rt.table)
+    ok = (w is not None) == goldbach.two_prime_sum_exists(n - 3, rt.table)
     return (1 if ok else 0), ((w.x, w.y) if w else None), ok
 
 
@@ -359,8 +372,16 @@ def run_sweep(
     if task == "binary" and options.via_fermat:
         verdicts = VerdictTable(table)
         verdicts.ensure(max(2 * hi - 3, 2))
+    counts = None
+    if not options.first_witness_only and (
+        task in ("ternary", "peculiar") or (task == "binary" and not options.via_fermat)
+    ):
+        # count mode off the congruence route: every count from one table
+        counts = goldbach.count_table(
+            task, hi, table, memory_budget=options.memory_budget
+        )
     table.warm(nu=(task == "binary" and options.verify_against_oracle))
-    rt = _Runtime(table, pi, verdicts)
+    rt = _Runtime(table, pi, verdicts, counts)
 
     step = max(1, options.chunk_size)
     chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]

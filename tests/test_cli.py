@@ -85,6 +85,17 @@ def test_memory_budget_exit_3():
     assert b"budget" in proc.stderr
 
 
+def test_count_table_over_budget_exit_3():
+    # the spf table through 2000 takes 8 KB; the count table's length-4096
+    # FFT counts 192 KiB of buffers
+    args = ("binary", "--from", "2", "--to", "1000", "--format", "csv")
+    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
+    assert proc.returncode == 3
+    assert b"FFT" in proc.stderr and b"budget" in proc.stderr
+    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
+    assert proc.returncode == 0
+
+
 def test_budget_suffix_parsing():
     assert cli._parse_budget("512M") == 512 << 20
     assert cli._parse_budget("2G") == 2 << 30
