@@ -143,14 +143,10 @@ def main() -> int:
     def determinism():
         serial = run_sweep("binary", 2, determinism_hi, SweepOptions(threads=1), table=table)
         pooled = run_sweep(
-            "binary",
-            2,
-            determinism_hi,
-            SweepOptions(threads=8, chunk_size=512),
-            table=table,
+            "binary", 2, determinism_hi, SweepOptions(threads=8), table=table
         )
         same = emit_report(serial, "json") == emit_report(pooled, "json")
-        return same, f"[2, {determinism_hi}] x 1 vs 8 workers"
+        return same, f"[2, {determinism_hi}] x 1 vs 8 threads"
 
     def arithmetic_functions():
         gcd = math.gcd

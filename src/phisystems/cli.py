@@ -188,7 +188,7 @@ def main(argv=None) -> int:
             first_witness_only=args.first_witness_only,
             verify_against_oracle=args.verify_against_oracle,
             via_fermat=getattr(args, "via_fermat", False),
-            threads=max(1, args.threads),
+            threads=args.threads,
             memory_budget=budget,
         )
         report = run_sweep(args.task, args.lo, args.hi, options)

@@ -94,16 +94,10 @@ def _validate_odd_n(n: int, table: SpfTable) -> None:
 
 
 def binary_solutions(n: int, table: SpfTable) -> list[BinaryWitness]:
-    """All x in [0, n-3] with n - x and n + x both prime, ascending.
-
-    For n = 2 that range is empty although 4 = 2 + 2; the scan is extended
-    to x = 0 there so the lone split of 4 is reported.
-    """
+    """All x with n - x and n + x both prime, ascending: x in [0, n-3],
+    and x = 0 for n = 2 since 4 = 2 + 2."""
     _validate_pair_n(n, table)
-    if n == 2:
-        return [BinaryWitness(n=2, x=0, p=2, q=2)]
-    mask = table.is_prime_mask
-    both = mask[n : 2 * n - 2] & mask[3 : n + 1][::-1]
+    both = _pair_mask(2 * n, table.is_prime_mask)
     return [
         BinaryWitness(n=n, x=x, p=n - x, q=n + x)
         for x in np.nonzero(both)[0].tolist()
@@ -113,25 +107,14 @@ def binary_solutions(n: int, table: SpfTable) -> list[BinaryWitness]:
 def binary_count(n: int, table: SpfTable) -> int:
     """len(binary_solutions(n)) without materializing witnesses."""
     _validate_pair_n(n, table)
-    if n == 2:
-        return 1
-    mask = table.is_prime_mask
-    return int(np.count_nonzero(mask[n : 2 * n - 2] & mask[3 : n + 1][::-1]))
+    return _pair_count(2 * n, table.is_prime_mask)
 
 
 def first_binary_witness(n: int, table: SpfTable) -> BinaryWitness | None:
     """Lowest-x witness, scanning only the viable parity class of x."""
     _validate_pair_n(n, table)
-    if n == 2:
-        return BinaryWitness(n=2, x=0, p=2, q=2)
-    b = table.is_prime_bytes
-    # n - x and n + x must be odd primes here, so x has parity opposite to n
-    x = 0 if n % 2 else 1
-    while x <= n - 3:
-        if b[n - x] and b[n + x]:
-            return BinaryWitness(n=n, x=x, p=n - x, q=n + x)
-        x += 2
-    return None
+    x = _first_pair_y(2 * n, table.is_prime_bytes)
+    return None if x is None else BinaryWitness(n=n, x=x, p=n - x, q=n + x)
 
 
 def raw_form_solutions(n: int, table: SpfTable) -> list[int]:
@@ -175,9 +158,7 @@ def fermat_system_solutions(
     if n <= 3:
         raise ValueError(f"defined for n > 3, got {n}")
     if verdicts is not None:
-        arr = verdicts.ensure(2 * n - 3)
-        both = arr[n : 2 * n - 2] & arr[3 : n + 1][::-1]
-        return np.nonzero(both)[0].tolist()
+        return np.nonzero(_pair_mask(2 * n, verdicts.ensure(2 * n - 2)))[0].tolist()
     out = []
     for x in range(0, n - 2):
         if certify_verdict(n - x, table)[0] and certify_verdict(n + x, table)[0]:
@@ -185,14 +166,24 @@ def fermat_system_solutions(
     return out
 
 
+def _pair_mask(s: int, mask: np.ndarray) -> np.ndarray:
+    """Whether s/2 - y and s/2 + y are both prime, for y in [0, s/2 - 2].
+
+    s is even and >= 4. Past s = 4 the last entry pairs 2 with an even
+    number above 2, so it is never set.
+    """
+    m = s // 2
+    return mask[2 : m + 1][::-1] & mask[m : 2 * m - 1]
+
+
 def _pair_count(s: int, mask: np.ndarray) -> int:
     """Number of splits s = p + r with p <= r both prime, s even >= 4."""
-    m = s // 2
-    return int(np.count_nonzero(mask[2 : m + 1][::-1] & mask[m : 2 * m - 1]))
+    return int(np.count_nonzero(_pair_mask(s, mask)))
 
 
-def _first_pair_y(s: int, prime_bytes: bytes) -> int | None:
-    """Smallest y >= 0 with s/2 - y and s/2 + y both prime, s even >= 4."""
+def _first_pair_y(s: int, prime_bytes: bytes | np.ndarray) -> int | None:
+    """Smallest y >= 0 with s/2 - y and s/2 + y both prime, s even >= 4;
+    prime_bytes is the sieve's bytes or the verdicts of a VerdictTable."""
     m = s // 2
     if m == 2:
         return 0  # 4 = 2 + 2
@@ -224,9 +215,8 @@ def ternary_solutions(n: int, table: SpfTable) -> list[TernaryWitness]:
     for i in range(1, _odd_prime_bound(n, table)):
         q = plist[i]
         m = (n - q) // 2
-        pair = mask[2 : m + 1][::-1] & mask[m : 2 * m - 1]
         x = (n + q) // 2
-        for y in np.nonzero(pair)[0].tolist():
+        for y in np.nonzero(_pair_mask(n - q, mask))[0].tolist():
             out.append(TernaryWitness(n=n, x=x, y=y, p=m - y, q=q, r=m + y))
     return out
 

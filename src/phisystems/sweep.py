@@ -1,22 +1,27 @@
 """Deterministic range sweeps over the verification tasks.
 
-A sweep partitions [lo, hi] into contiguous chunks, evaluates each n
-independently (optionally on a pool of forked workers that share the
-read-only tables), and merges chunk results in range order, so the report
-is identical for any worker count. In count mode the pair, triple and
-triple-with-3 tasks read every count from one ``goldbach.count_table``
-built before the workers fork. The JSON and CSV renderings carry no
-timing or parallelism information for the same reason; elapsed time lives
-on the report object and in the human table format only.
+Each task's rules sit in one entry of a task table: the sieve limit and
+the shared tables its rows read, its eligible n, its row, and the count
+the trial-division oracle expects. In count mode the pair, triple and
+triple-with-3 rows read every count from one ``goldbach.count_table``.
+A sweep evaluates each eligible n independently, on one worker as one
+chunk or on forked workers (at most one per usable CPU) as sixteen
+contiguous chunks per worker, and merges the results in range order, so
+the report is identical for any worker count. For the same reason the
+JSON and CSV renderings carry no timing or parallelism information;
+elapsed time lives on the report object and in the human table format.
 """
 
 import json
+import math
 import multiprocessing
+import os
 import sys
 import time
-from bisect import bisect_right
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +51,13 @@ FirstWitness = int | tuple[int, int] | str | None
 @dataclass(frozen=True)
 class SweepOptions:
     """Flags shaping a sweep. Only the semantic flags are echoed into
-    reports; threads, chunking and the memory budget cannot change any
-    reported value and are excluded to keep output byte-deterministic."""
+    reports; threads and the memory budget cannot change any reported
+    value and are excluded to keep output byte-deterministic."""
 
     first_witness_only: bool = False
     verify_against_oracle: bool = False
     via_fermat: bool = False
     threads: int = 1
-    chunk_size: int = 4096
     memory_budget: int = DEFAULT_MEMORY_BUDGET
 
     def config(self) -> dict:
@@ -168,45 +172,34 @@ def emit_counts(report: RangeReport) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-class _Runtime:
+class _Runtime(NamedTuple):
     """Read-only tables shared by every worker of one sweep."""
 
-    __slots__ = ("table", "pi", "verdicts", "counts")
-
-    def __init__(
-        self,
-        table: SpfTable,
-        pi: PrimePi | None,
-        verdicts: VerdictTable | None,
-        counts: np.ndarray | None,
-    ):
-        self.table = table
-        self.pi = pi
-        self.verdicts = verdicts
-        self.counts = counts
+    table: SpfTable
+    pi: PrimePi | None = None
+    verdicts: VerdictTable | None = None
+    counts: np.ndarray | None = None
 
 
-def _sieve_limit(task: str, hi: int, options: SweepOptions) -> int:
-    if task == "bertrand":
-        need = 2 * hi - 2
-    elif task == "binary":
-        # the raw-form cross-check under oracle verification factors
-        # values up to 2n - 2; size generously per the 4n scan interval
-        need = 4 * hi if options.verify_against_oracle else 2 * hi
-    else:  # certify, ternary, peculiar, proposition
-        need = hi
-    return max(need, 4)
+def _with_pi(task, rt, hi, options):
+    if options.first_witness_only:
+        return rt
+    return rt._replace(pi=PrimePi.from_spf(rt.table))
 
 
-def _eligible(task: str, lo: int, hi: int, options: SweepOptions) -> range:
-    if task in ("ternary", "peculiar", "proposition"):
-        start = max(lo, 7)
-        if start % 2 == 0:
-            start += 1
-        return range(start, hi + 1, 2)
-    if task == "bertrand" or (task == "binary" and options.via_fermat):
-        return range(max(lo, 4), hi + 1)
-    return range(max(lo, 2), hi + 1)  # certify, binary
+def _with_counts(task, rt, hi, options):
+    if options.first_witness_only:
+        return rt
+    counts = goldbach.count_table(
+        task, hi, rt.table, memory_budget=options.memory_budget
+    )
+    return rt._replace(counts=counts)
+
+
+def _with_verdicts(task, rt, hi, options):
+    verdicts = VerdictTable(rt.table)
+    verdicts.ensure(2 * hi - 2)
+    return rt._replace(verdicts=verdicts)
 
 
 def _row_certify(n, rt, options):
@@ -216,52 +209,44 @@ def _row_certify(n, rt, options):
 
 
 def _row_bertrand(n, rt, options):
+    w = bertrand.first_bertrand_witness(n, rt.table)
     if options.first_witness_only:
-        w = bertrand.first_bertrand_witness(n, rt.table)
         found = w is not None
         return (1 if found else 0), (w.x if found else None), found
     count = bertrand.bertrand_count(n, rt.table)
-    fw = bertrand.first_bertrand_witness(n, rt.table)
     # the identity count_identity_check states, without counting twice
     ok = count >= 1 and count == rt.pi(2 * n - 2) - rt.pi(n)
-    return count, (fw.x if fw else None), ok
+    return count, (w.x if w else None), ok
+
+
+def _counted_row(n, fw, rt, options):
+    """Row of a task whose count is rt.counts[n] outside first-witness mode."""
+    found = fw is not None
+    count = int(found) if options.first_witness_only else int(rt.counts[n])
+    return count, fw, found and count >= 1
 
 
 def _row_binary(n, rt, options):
-    if options.via_fermat:
-        if options.first_witness_only:
-            arr = rt.verdicts.ensure(2 * n - 3)
-            for x in range(0, n - 2):
-                if arr[n - x] and arr[n + x]:
-                    return 1, x, True
-            return 0, None, False
-        xs = goldbach.fermat_system_solutions(n, rt.table, verdicts=rt.verdicts)
-        return len(xs), (xs[0] if xs else None), bool(xs)
-    if options.first_witness_only:
-        w = goldbach.first_binary_witness(n, rt.table)
-        found = w is not None
-        return (1 if found else 0), (w.x if found else None), found
-    count = int(rt.counts[n])
     w = goldbach.first_binary_witness(n, rt.table)
-    return count, (w.x if w else None), count >= 1
+    return _counted_row(n, w.x if w else None, rt, options)
+
+
+def _row_fermat(n, rt, options):
+    if options.first_witness_only:
+        x = goldbach._first_pair_y(2 * n, rt.verdicts.verdicts)
+        return (0, None, False) if x is None else (1, x, True)
+    xs = goldbach.fermat_system_solutions(n, rt.table, verdicts=rt.verdicts)
+    return len(xs), (xs[0] if xs else None), bool(xs)
 
 
 def _row_ternary(n, rt, options):
     w = goldbach.first_ternary_witness(n, rt.table)
-    found = w is not None
-    fw = (w.x, w.y) if found else None
-    if options.first_witness_only:
-        return (1 if found else 0), fw, found
-    return int(rt.counts[n]), fw, found
+    return _counted_row(n, (w.x, w.y) if w else None, rt, options)
 
 
 def _row_peculiar(n, rt, options):
     w = goldbach.first_peculiar_witness(n, rt.table)
-    found = w is not None
-    fw = (w.x, w.y) if found else None
-    if options.first_witness_only:
-        return (1 if found else 0), fw, found
-    return int(rt.counts[n]), fw, found
+    return _counted_row(n, (w.x, w.y) if w else None, rt, options)
 
 
 def _row_proposition(n, rt, options):
@@ -271,50 +256,73 @@ def _row_proposition(n, rt, options):
     return (1 if ok else 0), ((w.x, w.y) if w else None), ok
 
 
-_ROW = {
-    "certify": _row_certify,
-    "bertrand": _row_bertrand,
-    "binary": _row_binary,
-    "ternary": _row_ternary,
-    "peculiar": _row_peculiar,
-    "proposition": _row_proposition,
+# Oracles give the count a row should report, by trial division; certify
+# and proposition rows count 1 when their check holds against it.
+def _oracle_certify(n, rt):
+    return int(oracle.oracle_is_prime(n) == bool(rt.table.is_prime_bytes[n]))
+
+
+def _oracle_bertrand(n, rt):
+    return sum(1 for p in oracle.trial_primes_upto(2 * n - 3) if p > n)
+
+
+def _oracle_binary(n, rt):
+    # 2 + (2n - 2) is a split only at n = 2, so every pair counts
+    return len(oracle.oracle_pairs(2 * n).pairs)
+
+
+def _oracle_ternary(n, rt):
+    return len(oracle.oracle_triples(n))
+
+
+def _oracle_peculiar(n, rt):
+    return sum(1 for p, q, _ in oracle.oracle_triples(n) if p == 3 or q == 3)
+
+
+def _oracle_proposition(n, rt):
+    return int((_oracle_peculiar(n, rt) > 0) == bool(oracle.oracle_pairs(n - 3).pairs))
+
+
+class _Task(NamedTuple):
+    """One task's rules."""
+
+    sieve: Callable[[int], int]  # hi -> the sieve limit its rows read
+    first: int  # eligible n: first, first + step, ... up to hi
+    step: int
+    row: Callable  # (n, rt, options) -> (count, first witness, ok)
+    oracle: Callable  # (n, rt) -> the count the row should report
+    setup: Callable = lambda task, rt, hi, options: rt  # adds the tables rows read
+
+
+_SPECS = {
+    "certify": _Task(lambda hi: hi, 2, 1, _row_certify, _oracle_certify),
+    "bertrand": _Task(
+        lambda hi: 2 * hi - 2, 4, 1, _row_bertrand, _oracle_bertrand, _with_pi
+    ),
+    "binary": _Task(lambda hi: 2 * hi, 2, 1, _row_binary, _oracle_binary, _with_counts),
+    # the congruence route: its rows read only the verdicts, and certifying
+    # every value up to 2 hi - 2 needs no prime above isqrt(2 hi)
+    "binary --via-fermat": _Task(
+        lambda hi: math.isqrt(2 * hi), 4, 1, _row_fermat, _oracle_binary, _with_verdicts
+    ),
+    "ternary": _Task(lambda hi: hi, 7, 2, _row_ternary, _oracle_ternary, _with_counts),
+    "peculiar": _Task(
+        lambda hi: hi, 7, 2, _row_peculiar, _oracle_peculiar, _with_counts
+    ),
+    "proposition": _Task(lambda hi: hi, 7, 2, _row_proposition, _oracle_proposition),
 }
 
 
-def _oracle_agrees(task: str, n: int, count: int, rt, options) -> bool:
-    """Slow per-n cross-check against the trial-division oracle."""
-    existence = options.first_witness_only
-    if task == "certify":
-        return oracle.oracle_is_prime(n) == bool(rt.table.is_prime_bytes[n])
-    if task == "bertrand":
-        ps = oracle.trial_primes_upto(2 * n - 3)
-        expected = bisect_right(ps, 2 * n - 3) - bisect_right(ps, n)
-        return (expected > 0) == (count > 0) if existence else expected == count
-    if task == "binary":
-        pairs = oracle.oracle_pairs(2 * n).pairs
-        expected = len(pairs) if n == 2 else sum(1 for p, _ in pairs if p != 2)
-        return (expected > 0) == (count > 0) if existence else expected == count
-    if task == "ternary":
-        expected = len(oracle.oracle_triples(n))
-        return (expected > 0) == (count > 0) if existence else expected == count
-    if task == "peculiar":
-        expected = sum(1 for p, q, _ in oracle.oracle_triples(n) if p == 3 or q == 3)
-        return (expected > 0) == (count > 0) if existence else expected == count
-    if task == "proposition":
-        left = any(p == 3 or q == 3 for p, q, _ in oracle.oracle_triples(n))
-        right = len(oracle.oracle_pairs(n - 3).pairs) > 0
-        return (left == right) == (count == 1)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _compute_chunk(task: str, lo: int, hi: int, options: SweepOptions, rt: _Runtime):
-    row_fn = _ROW[task]
+def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
+    row_fn = spec.row
+    exists = options.first_witness_only  # rows count 1 when a witness exists
     rows = []
     failures = []
-    for n in _eligible(task, lo, hi, options):
+    for n in ns:
         count, fw, ok = row_fn(n, rt, options)
         if ok and options.verify_against_oracle:
-            ok = _oracle_agrees(task, n, count, rt, options)
+            expected = spec.oracle(n, rt)
+            ok = (expected > 0) == (count > 0) if exists else expected == count
         rows.append((n, count, fw))
         if not ok:
             failures.append(n)
@@ -322,12 +330,28 @@ def _compute_chunk(task: str, lo: int, hi: int, options: SweepOptions, rt: _Runt
 
 
 # set in the parent right before the pool forks; workers inherit it read-only
-_WORKER_RUNTIME: _Runtime | None = None
+_WORKER_STATE: tuple[_Task, SweepOptions, _Runtime] | None = None
 
 
-def _chunk_entry(args):
-    task, lo, hi, options = args
-    return _compute_chunk(task, lo, hi, options, _WORKER_RUNTIME)
+def _chunk_entry(ns: range):
+    return _compute_chunk(*_WORKER_STATE, ns)
+
+
+def _worker_count(threads: int) -> int:
+    """threads, at least 1 and at most the CPUs this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus))
+
+
+def _chunks(ns: range, workers: int) -> list[range]:
+    """ns in contiguous chunks: one for one worker, else sixteen per worker,
+    so a worker whose chunks run cheap takes more while others finish."""
+    pieces = 1 if workers == 1 else 16 * workers
+    width = max(1, -(-len(ns) // pieces))
+    return [ns[i : i + width] for i in range(0, len(ns), width)]
 
 
 def _progress(done: int, total: int) -> None:
@@ -343,7 +367,6 @@ def run_sweep(
     options: SweepOptions | None = None,
     *,
     table: SpfTable | None = None,
-    pi: PrimePi | None = None,
 ) -> RangeReport:
     """Verify one task for every eligible n in [lo, hi].
 
@@ -359,55 +382,38 @@ def run_sweep(
         raise ValueError(f"invalid range: lo = {lo} > hi = {hi}")
     if lo < 0:
         raise ValueError(f"range must be non-negative, got lo = {lo}")
+    route = f"{task} --via-fermat" if options.via_fermat else task
+    spec = _SPECS.get(route, _SPECS[task])  # only binary has a congruence route
 
     started = time.perf_counter()
-    need = _sieve_limit(task, hi, options)
+    need = max(spec.sieve(hi), 4)
     if table is None:
         table = build_spf(need, memory_budget=options.memory_budget)
     elif table.limit < need:
         raise ValueError(f"table limit {table.limit} is below the required {need}")
-    if pi is None and task == "bertrand" and not options.first_witness_only:
-        pi = PrimePi.from_spf(table)
-    verdicts = None
-    if task == "binary" and options.via_fermat:
-        verdicts = VerdictTable(table)
-        verdicts.ensure(max(2 * hi - 3, 2))
-    counts = None
-    if not options.first_witness_only and (
-        task in ("ternary", "peculiar") or (task == "binary" and not options.via_fermat)
-    ):
-        # count mode off the congruence route: every count from one table
-        counts = goldbach.count_table(
-            task, hi, table, memory_budget=options.memory_budget
-        )
-    table.warm(nu=(task == "binary" and options.verify_against_oracle))
-    rt = _Runtime(table, pi, verdicts, counts)
+    rt = spec.setup(task, _Runtime(table.warm()), hi, options)
 
-    step = max(1, options.chunk_size)
-    chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-    threads = max(1, options.threads)
+    start = max(lo, spec.first)
+    ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
+    workers = _worker_count(options.threads)
+    chunks = _chunks(ns, workers)
     parts = []
-    if (
-        threads > 1
-        and len(chunks) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
-        global _WORKER_RUNTIME
-        _WORKER_RUNTIME = rt
+    if len(chunks) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        global _WORKER_STATE
+        _WORKER_STATE = (spec, options, rt)
         try:
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
-                max_workers=min(threads, len(chunks)), mp_context=ctx
+                max_workers=min(workers, len(chunks)), mp_context=ctx
             ) as pool:
-                args = [(task, a, b, options) for a, b in chunks]
-                for done, part in enumerate(pool.map(_chunk_entry, args), start=1):
+                for done, part in enumerate(pool.map(_chunk_entry, chunks), start=1):
                     parts.append(part)
                     _progress(done, len(chunks))
         finally:
-            _WORKER_RUNTIME = None
+            _WORKER_STATE = None
     else:
-        for done, (a, b) in enumerate(chunks, start=1):
-            parts.append(_compute_chunk(task, a, b, options, rt))
+        for done, chunk in enumerate(chunks, start=1):
+            parts.append(_compute_chunk(spec, options, rt, chunk))
             _progress(done, len(chunks))
 
     rows: list[tuple] = []

@@ -182,13 +182,12 @@ def test_criterion_7_peculiar_proposition(table):
     )
 
 
-def test_criterion_8_determinism(table):
+def test_criterion_8_determinism(table, usable_cpus):
     """1-worker and 8-worker sweeps over [2, 1e4] are byte-identical JSON."""
+    usable_cpus(8)
     lo, hi = DETERMINISM_RANGE
     serial = run_sweep("binary", lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep(
-        "binary", lo, hi, SweepOptions(threads=8, chunk_size=512), table=table
-    )
+    pooled = run_sweep("binary", lo, hi, SweepOptions(threads=8), table=table)
     same = emit_report(serial, "json") == emit_report(pooled, "json")
     report("criterion 8: worker-count determinism on [2, 1e4]", same)
 

@@ -8,9 +8,6 @@ from phisystems.arith import MemoryBudgetError
 from phisystems.goldbach import (
     binary_count,
     count_table,
-    first_binary_witness,
-    first_peculiar_witness,
-    first_ternary_witness,
     peculiar_count,
     ternary_count,
 )
@@ -105,34 +102,17 @@ def test_miscounted_convolution_raises(table, monkeypatch):
         count_table("peculiar", 100, table)
 
 
-def _per_n_rows(task, lo, hi, table):
-    if task == "binary":
-        rows = []
-        for n in range(lo, hi + 1):
-            w = first_binary_witness(n, table)
-            rows.append((n, binary_count(n, table), w.x if w else None))
-        return rows
-    count, first = {
-        "ternary": (ternary_count, first_ternary_witness),
-        "peculiar": (peculiar_count, first_peculiar_witness),
-    }[task]
-    rows = []
-    for n in range(lo, hi + 1, 2):
-        w = first(n, table)
-        rows.append((n, count(n, table), (w.x, w.y) if w else None))
-    return rows
-
-
 @pytest.mark.parametrize(
     "task,lo,hi", [("binary", 2, 3000), ("ternary", 7, 601), ("peculiar", 7, 3001)]
 )
-def test_sweep_counts_match_per_n_on_any_worker_count(table, task, lo, hi):
+def test_sweep_counts_match_per_n_on_any_worker_count(
+    table, reference_rows, usable_cpus, task, lo, hi
+):
+    usable_cpus(2)
     serial = run_sweep(task, lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep(
-        task, lo, hi, SweepOptions(threads=2, chunk_size=97), table=table
-    )
+    pooled = run_sweep(task, lo, hi, SweepOptions(threads=2), table=table)
     assert emit_report(serial, "json") == emit_report(pooled, "json")
-    assert list(serial.per_n) == _per_n_rows(task, lo, hi, table)
+    assert list(serial.per_n) == reference_rows(task, lo, hi, SweepOptions())
     assert serial.failures == ()
 
 

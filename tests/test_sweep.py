@@ -1,7 +1,13 @@
+import os
+from dataclasses import replace
+
 import pytest
 
+from phisystems import sweep
+from phisystems.arith import build_spf
 from phisystems.sweep import (
     CSV_HEADER,
+    TASKS,
     RangeReport,
     SweepOptions,
     emit_counts,
@@ -76,12 +82,11 @@ def test_emit_counts(table):
     ]
 
 
-def test_deterministic_across_worker_counts(table):
+def test_deterministic_across_worker_counts(table, usable_cpus):
+    usable_cpus(4)
     lo, hi = 2, 2000
     serial = run_sweep("binary", lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep(
-        "binary", lo, hi, SweepOptions(threads=4, chunk_size=128), table=table
-    )
+    pooled = run_sweep("binary", lo, hi, SweepOptions(threads=4), table=table)
     assert emit_report(serial, "json") == emit_report(pooled, "json")
     assert emit_report(serial, "csv") == emit_report(pooled, "csv")
 
@@ -126,6 +131,83 @@ def test_verify_against_oracle_smoke(task, lo, hi):
     report = run_sweep(task, lo, hi, options)
     assert report.failures == ()
     assert all(c >= 1 for _, c, _ in report.per_n)
+
+
+@pytest.mark.parametrize(
+    "options,lo,limit",
+    [
+        # pair splits of 2n read the sieve through 2 hi; the oracle reads none
+        (SweepOptions(verify_against_oracle=True), 2, 400),
+        # certifying values up to 2 hi - 2 reads the primes up to isqrt(2 hi)
+        (SweepOptions(via_fermat=True), 4, 20),
+    ],
+)
+def test_binary_sieves_only_what_its_rows_read(options, lo, limit):
+    report = run_sweep("binary", lo, 200, options, table=build_spf(limit))
+    assert report.failures == ()
+    assert report.checked == 200 - lo + 1
+
+
+SMALL_RANGES = {
+    "certify": (2, 120),
+    "bertrand": (4, 80),
+    "binary": (2, 80),
+    "ternary": (7, 81),
+    "peculiar": (7, 81),
+    "proposition": (7, 81),
+}
+MODES = {
+    "count": SweepOptions(),
+    "first-witness": SweepOptions(first_witness_only=True),
+    "oracle": SweepOptions(verify_against_oracle=True),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("route", [*TASKS, "binary --via-fermat"])
+def test_reports_match_per_n_functions(
+    table, reference_rows, usable_cpus, route, mode
+):
+    usable_cpus(2)
+    task = route.split()[0]
+    lo, hi = SMALL_RANGES[task]
+    options = replace(MODES[mode], via_fermat=route != task)
+    expected = RangeReport(
+        task=task,
+        lo=lo,
+        hi=hi,
+        per_n=tuple(reference_rows(task, lo, hi, options)),
+        failures=(),
+        config=options.config(),
+    )
+    for threads in (1, 2):
+        report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
+        for fmt in ("json", "csv"):
+            assert emit_report(report, fmt) == emit_report(expected, fmt)
+
+
+def test_worker_count_capped_at_usable_cpus(usable_cpus, monkeypatch):
+    usable_cpus(3)
+    threads = [-1, 0, 1, 2, 3, 64]
+    assert [sweep._worker_count(t) for t in threads] == [1, 1, 1, 2, 3, 3]
+    # without CPU affinity the CPU count caps, and one worker when unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [sweep._worker_count(t) for t in threads] == [1, 1, 1, 2, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweep._worker_count(64) == 1
+
+
+@pytest.mark.parametrize(
+    "ns", [range(2, 2001), range(7, 5001, 2), range(7, 10, 2), range(9, 9)]
+)
+def test_chunks_split_the_range_in_order(ns):
+    assert sweep._chunks(ns, 1) == ([ns] if ns else [])
+    for workers in (2, 3, 8):
+        chunks = sweep._chunks(ns, workers)
+        assert [n for chunk in chunks for n in chunk] == list(ns)
+        # several chunks per worker where the range has enough n
+        assert len(chunks) >= min(len(ns), 4 * workers)
 
 
 def test_certify_rows(table):
