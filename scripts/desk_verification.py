@@ -57,7 +57,7 @@ def main() -> int:
 
     top = max(2 * binary_hi + 2, 2 * bertrand_hi, certify_hi, ternary_hi)
     t0 = time.perf_counter()
-    table = build_spf(top).warm(nu=True)
+    table = build_spf(top).warm()
     pi = PrimePi.from_spf(table)
     print(f"tables through {top}: {time.perf_counter() - t0:.2f}s")
 

@@ -3,8 +3,9 @@
 A smallest-prime-factor array over [2, limit] is the factorization
 backbone: the prime-power valuation nu_p, the count nu of prime divisors
 with multiplicity, Euler's totient phi, primality, and the prime-counting
-function pi all read off it. Queries above the table limit fall back to
-trial division, so every result stays exact.
+function pi all read off it. Primality is derived once, as one byte per
+value; the numpy mask is a read-only view of those bytes. Queries above
+the table limit fall back to trial division, so every result stays exact.
 
 Tables are immutable after construction and safe to share across threads
 or forked worker processes.
@@ -43,34 +44,32 @@ class SpfTable:
     """Smallest-prime-factor table over [2, limit].
 
     ``spf[a]`` is the least prime dividing ``a``, so ``spf[a] == a``
-    exactly when ``a`` is prime. Derived views (primality mask, prime
-    list, nu table) are cached lazily on first use; call :meth:`warm`
-    before forking workers that will share them.
+    exactly when ``a`` is prime. The primality bytes, their mask view,
+    the prime list and the nu table are cached lazily on first use; call
+    :meth:`warm` before forking workers that will share the primality
+    caches.
     """
 
     limit: int
     spf: np.ndarray
 
     @cached_property
-    def is_prime_mask(self) -> np.ndarray:
-        mask = self.spf == np.arange(self.limit + 1, dtype=_SPF_DTYPE)
-        mask[0] = False
-        mask[1] = False
-        return mask
-
-    @cached_property
     def is_prime_bytes(self) -> bytes:
-        # bytes indexing is markedly faster than numpy scalar indexing
-        # in pure-Python scan loops
-        return self.is_prime_mask.tobytes()
+        """One byte per value in [0, limit], 1 exactly at the primes: the
+        table's only primality buffer. Pure-Python scan loops index it,
+        which is markedly faster than numpy scalar indexing."""
+        mask = self.spf == np.arange(self.limit + 1, dtype=_SPF_DTYPE)
+        mask[:2] = False
+        return mask.tobytes()
 
     @cached_property
-    def primes(self) -> np.ndarray:
-        return np.nonzero(self.is_prime_mask)[0].astype(np.int64)
+    def is_prime_mask(self) -> np.ndarray:
+        """is_prime_bytes as a read-only bool array; a view, not a copy."""
+        return np.frombuffer(self.is_prime_bytes, np.bool_)
 
     @cached_property
     def prime_list(self) -> list[int]:
-        return [int(p) for p in self.primes]
+        return np.flatnonzero(self.is_prime_mask).tolist()
 
     @cached_property
     def nu_values(self) -> np.ndarray:
@@ -83,17 +82,11 @@ class SpfTable:
                 q *= p
         return nu
 
-    def warm(self, *, nu: bool = False) -> "SpfTable":
-        """Materialize the lazy caches (so forked workers inherit them)."""
+    def warm(self) -> "SpfTable":
+        """Materialize the primality caches (so forked workers inherit them)."""
         self.is_prime_mask
-        self.is_prime_bytes
         self.prime_list
-        if nu:
-            self.nu_values
         return self
-
-    def primes_upto(self, x: int) -> np.ndarray:
-        return self.primes[: int(np.searchsorted(self.primes, x, side="right"))]
 
     def smallest_factor(self, a: int) -> int:
         if a < 2 or a > self.limit:

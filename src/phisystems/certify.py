@@ -131,30 +131,36 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
 class VerdictTable:
     """Certification verdicts for every value up to a limit.
 
-    Each entry is computed by its own congruence-system run; the array
+    Each entry is computed by its own congruence-system run; the table
     exists so range sweeps over the Fermat route can intersect slices
-    instead of re-certifying the same value once per n.
+    instead of re-certifying the same value once per n. The verdicts are
+    kept once, as ``verdict_bytes`` (1 where the value certifies as
+    prime); ``verdicts`` is a read-only numpy view of those bytes.
     """
 
     def __init__(self, table: SpfTable):
         self.table = table
-        self._verdicts = np.zeros(2, dtype=bool)
+        self._bytes = bytes(2)
+        self._view = np.frombuffer(self._bytes, np.bool_)
 
     @property
     def limit(self) -> int:
-        return len(self._verdicts) - 1
+        return len(self._bytes) - 1
+
+    @property
+    def verdict_bytes(self) -> bytes:
+        return self._bytes
 
     @property
     def verdicts(self) -> np.ndarray:
-        return self._verdicts
+        return self._view
 
     def ensure(self, limit: int) -> np.ndarray:
         if limit > self.limit:
-            old = self._verdicts
-            new = np.zeros(limit + 1, dtype=bool)
-            new[: len(old)] = old
             table = self.table
-            for m in range(max(2, len(old)), limit + 1):
-                new[m] = certify_verdict(m, table)[0]
-            self._verdicts = new
-        return self._verdicts
+            self._bytes += bytes(
+                certify_verdict(m, table)[0]
+                for m in range(max(2, len(self._bytes)), limit + 1)
+            )
+            self._view = np.frombuffer(self._bytes, np.bool_)
+        return self._view

@@ -181,9 +181,10 @@ def _pair_count(s: int, mask: np.ndarray) -> int:
     return int(np.count_nonzero(_pair_mask(s, mask)))
 
 
-def _first_pair_y(s: int, prime_bytes: bytes | np.ndarray) -> int | None:
+def _first_pair_y(s: int, prime_bytes: bytes) -> int | None:
     """Smallest y >= 0 with s/2 - y and s/2 + y both prime, s even >= 4;
-    prime_bytes is the sieve's bytes or the verdicts of a VerdictTable."""
+    prime_bytes is the sieve's is_prime_bytes or a VerdictTable's
+    verdict_bytes."""
     m = s // 2
     if m == 2:
         return 0  # 4 = 2 + 2
@@ -258,37 +259,26 @@ def peculiar_count(n: int, table: SpfTable) -> int:
     mask = table.is_prime_mask
     # q = 3 branch: any pair split of n - 3 qualifies
     count = _pair_count(n - 3, mask)
-    # p = 3 branch with q != 3: r = n - q - 3 must be prime and >= p = 3
-    primes = table.primes
-    qs = primes[2 : int(np.searchsorted(primes, n - 4, side="right"))]
-    if len(qs):
-        rs = n - 3 - qs
-        rs = rs[rs >= 3]
-        count += int(np.count_nonzero(mask[rs]))
+    # p = 3 branch with q != 3: q >= 5 and r = n - 3 - q >= 3 both prime
+    qs = np.flatnonzero(mask[5 : n - 5]) + 5
+    count += int(np.count_nonzero(mask[n - 3 - qs]))
     return count
 
 
 def first_peculiar_witness(n: int, table: SpfTable) -> TernaryWitness | None:
     """Lexicographically first peculiar witness, or None.
 
-    q = 3 minimizes x, so its lowest-y witness is the global first. The
-    p = 3 fallback can only produce a witness when the q = 3 branch does
-    too; it is kept so the function never relies on that implication.
+    q = 3 minimizes x, so its lowest-y witness is the global first. No
+    witness has p = 3 without one having q = 3: with p = 3, q >= 5 and
+    r >= 3, q + r = n - 3 splits into two odd primes, which is a q = 3
+    witness.
     """
     _validate_odd_n(n, table)
-    b = table.is_prime_bytes
-    y = _first_pair_y(n - 3, b)
-    if y is not None:
-        m = (n - 3) // 2
-        return TernaryWitness(n=n, x=(n + 3) // 2, y=y, p=m - y, q=3, r=m + y)
-    plist = table.prime_list
-    for i in range(2, _odd_prime_bound(n, table)):
-        q = plist[i]
-        r = n - q - 3
-        if r >= 3 and b[r]:
-            m = (n - q) // 2
-            return TernaryWitness(n=n, x=(n + q) // 2, y=m - 3, p=3, q=q, r=r)
-    return None
+    y = _first_pair_y(n - 3, table.is_prime_bytes)
+    if y is None:
+        return None
+    m = (n - 3) // 2
+    return TernaryWitness(n=n, x=(n + 3) // 2, y=y, p=m - y, q=3, r=m + y)
 
 
 def _exact_convolution(

@@ -4,12 +4,13 @@ Each task's rules sit in one entry of a task table: the sieve limit and
 the shared tables its rows read, its eligible n, its row, and the count
 the trial-division oracle expects. In count mode the pair, triple and
 triple-with-3 rows read every count from one ``goldbach.count_table``.
-A sweep evaluates each eligible n independently, on one worker as one
-chunk or on forked workers (at most one per usable CPU) as sixteen
-contiguous chunks per worker, and merges the results in range order, so
-the report is identical for any worker count. For the same reason the
-JSON and CSV renderings carry no timing or parallelism information;
-elapsed time lives on the report object and in the human table format.
+A sweep cuts the eligible n into sixteen contiguous chunks per worker,
+evaluates each n independently, in this process on one worker or on
+forked workers (at most one per usable CPU), and merges the results in
+range order, so the report is identical for any worker count. For the
+same reason the JSON and CSV renderings carry no timing or parallelism
+information; elapsed time lives on the report object and in the human
+table format.
 """
 
 import json
@@ -80,14 +81,14 @@ class RangeReport:
     task: str
     lo: int
     hi: int
-    per_n: tuple[tuple, ...] | None
+    per_n: tuple[tuple, ...]
     failures: tuple[int, ...]
     config: dict
     elapsed: float = field(default=0.0, compare=False)
 
     @property
     def checked(self) -> int:
-        return len(self.per_n or ())
+        return len(self.per_n)
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "RangeReport":
@@ -104,10 +105,6 @@ class RangeReport:
             failures=tuple(int(n) for n in obj["failures"]),
             config=dict(obj["config"]),
         )
-
-
-def _fw_to_json(fw: FirstWitness):
-    return list(fw) if isinstance(fw, tuple) else fw
 
 
 def _fw_from_json(fw) -> FirstWitness:
@@ -134,14 +131,14 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
             "task": report.task,
             "range": [report.lo, report.hi],
             "checked": report.checked,
-            "failures": list(report.failures),
+            "failures": report.failures,
             "config": report.config,
-            "per_n": [[n, c, _fw_to_json(fw)] for n, c, fw in (report.per_n or ())],
+            "per_n": report.per_n,  # json writes tuples as arrays
         }
         return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
     if fmt == "csv":
         lines = [CSV_HEADER]
-        lines.extend(f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in (report.per_n or ()))
+        lines.extend(f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in report.per_n)
         return ("\n".join(lines) + "\n").encode()
     if fmt == "table":
         head = (
@@ -150,9 +147,8 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
             f"elapsed: {report.elapsed:.3f}s"
         )
         lines = [head]
-        rows = report.per_n or ()
-        if rows:
-            cells = [(str(n), str(c), _fw_to_csv(fw)) for n, c, fw in rows]
+        if report.per_n:
+            cells = [(str(n), str(c), _fw_to_csv(fw)) for n, c, fw in report.per_n]
             wn = max(1, max(len(a) for a, _, _ in cells))
             wc = max(len("witnesses"), max(len(b) for _, b, _ in cells))
             lines.append(f"{'n':>{wn}}  {'witnesses':>{wc}}  first")
@@ -168,7 +164,7 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
 def emit_counts(report: RangeReport) -> bytes:
     """(n, witness_count) rows as CSV, for external plotting."""
     lines = ["n,witness_count"]
-    lines.extend(f"{n},{c}" for n, c, _ in (report.per_n or ()))
+    lines.extend(f"{n},{c}" for n, c, _ in report.per_n)
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -233,7 +229,7 @@ def _row_binary(n, rt, options):
 
 def _row_fermat(n, rt, options):
     if options.first_witness_only:
-        x = goldbach._first_pair_y(2 * n, rt.verdicts.verdicts)
+        x = goldbach._first_pair_y(2 * n, rt.verdicts.verdict_bytes)
         return (0, None, False) if x is None else (1, x, True)
     xs = goldbach.fermat_system_solutions(n, rt.table, verdicts=rt.verdicts)
     return len(xs), (xs[0] if xs else None), bool(xs)
@@ -347,10 +343,9 @@ def _worker_count(threads: int) -> int:
 
 
 def _chunks(ns: range, workers: int) -> list[range]:
-    """ns in contiguous chunks: one for one worker, else sixteen per worker,
-    so a worker whose chunks run cheap takes more while others finish."""
-    pieces = 1 if workers == 1 else 16 * workers
-    width = max(1, -(-len(ns) // pieces))
+    """ns in sixteen contiguous chunks per worker, so a worker whose chunks
+    run cheap takes more while others finish, and progress shows on one."""
+    width = max(1, -(-len(ns) // (16 * workers)))
     return [ns[i : i + width] for i in range(0, len(ns), width)]
 
 
@@ -397,15 +392,14 @@ def run_sweep(
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
+    workers = min(workers, len(chunks))
     parts = []
-    if len(chunks) > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         global _WORKER_STATE
         _WORKER_STATE = (spec, options, rt)
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), mp_context=ctx
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
                 for done, part in enumerate(pool.map(_chunk_entry, chunks), start=1):
                     parts.append(part)
                     _progress(done, len(chunks))

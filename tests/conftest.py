@@ -26,7 +26,7 @@ TABLE_LIMIT = 50_000
 
 @pytest.fixture(scope="session")
 def table():
-    return build_spf(TABLE_LIMIT).warm(nu=True)
+    return build_spf(TABLE_LIMIT).warm()
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,7 @@ SIEVE_LIMIT = 2 * BINARY_SWEEP_LIMIT + 2
 
 @pytest.fixture(scope="module")
 def table():
-    return build_spf(SIEVE_LIMIT).warm(nu=True)
+    return build_spf(SIEVE_LIMIT).warm()
 
 
 @pytest.fixture(scope="module")

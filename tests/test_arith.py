@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +45,14 @@ class TestBuildSpf:
             assert p == brute_smallest_factor(a)
             assert a % p == 0
             assert (p == a) == t.is_prime(a)
+        # primality is one buffer: the mask is a read-only view of the bytes
+        mask = t.is_prime_mask
+        assert not mask.flags.writeable
+        assert np.shares_memory(mask, np.frombuffer(t.is_prime_bytes, np.uint8))
+        expected = t.spf == np.arange(5001)
+        expected[:2] = False
+        assert (mask == expected).all()
+        assert t.prime_list == np.flatnonzero(mask).tolist()
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):

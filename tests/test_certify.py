@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,9 +127,14 @@ class TestVerdictTable:
 
     def test_grows_incrementally(self, table):
         vt = VerdictTable(table)
-        vt.ensure(50)
-        first = vt.verdicts.copy()
-        arr = vt.ensure(200)
+        views = []
+        for limit in (50, 200):
+            views.append(vt.ensure(limit))
+            # after each growth the array is a read-only view of the bytes
+            assert views[-1] is vt.verdicts and not vt.verdicts.flags.writeable
+            assert np.shares_memory(vt.verdicts, np.frombuffer(vt.verdict_bytes, np.uint8))
+            assert vt.verdicts.tobytes() == vt.verdict_bytes
+        first, arr = views
         assert (arr[: len(first)] == first).all()
         assert vt.limit == 200
         assert vt.ensure(100) is arr  # no shrink, no rebuild

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +167,20 @@ def test_via_fermat_flag_matches_default():
 def test_verify_against_oracle_flag():
     proc = run_cli("bertrand", "--from", "4", "--to", "30", "--verify-against-oracle")
     assert proc.returncode == 0
+
+
+def test_scripts_run():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def script(name, *args):
+        cmd = [sys.executable, str(root / "scripts" / name), *args]
+        return subprocess.run(cmd, capture_output=True, env=env)
+
+    desk = script("desk_verification.py", "--scale", "0.001")
+    assert desk.returncode == 0, desk.stderr.decode()
+    assert b"9/9 checks passed" in desk.stdout
+    counts = script("witness_counts.py", "binary", "--from", "2", "--to", "2000")
+    assert counts.returncode == 0, counts.stderr.decode()
+    assert counts.stdout.startswith(b"n,witness_count\n2,1\n")
+    assert counts.stdout.count(b"\n") == 2000

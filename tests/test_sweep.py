@@ -202,12 +202,22 @@ def test_worker_count_capped_at_usable_cpus(usable_cpus, monkeypatch):
     "ns", [range(2, 2001), range(7, 5001, 2), range(7, 10, 2), range(9, 9)]
 )
 def test_chunks_split_the_range_in_order(ns):
-    assert sweep._chunks(ns, 1) == ([ns] if ns else [])
-    for workers in (2, 3, 8):
+    for workers in (1, 2, 3, 8):
         chunks = sweep._chunks(ns, workers)
         assert [n for chunk in chunks for n in chunk] == list(ns)
         # several chunks per worker where the range has enough n
         assert len(chunks) >= min(len(ns), 4 * workers)
+
+
+def test_one_worker_runs_its_chunks_in_process(table, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker sweep started a pool")
+
+    drawn = []
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweep, "_progress", lambda done, total: drawn.append(done))
+    run_sweep("binary", 2, 1000, SweepOptions(first_witness_only=True), table=table)
+    assert drawn == list(range(1, 17))
 
 
 def test_certify_rows(table):
