@@ -26,6 +26,7 @@ from .certify import (
     Verdict,
     VerdictTable,
     certify,
+    certify_block,
     certify_verdict,
     fermat_congruence_holds,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "binary_solutions",
     "build_spf",
     "certify",
+    "certify_block",
     "certify_verdict",
     "count_identity_check",
     "count_table",

@@ -4,8 +4,14 @@ A value m >= 2 is prime exactly when m^(p-1) == 1 (mod p) for every prime
 p <= isqrt(m): by Fermat's little theorem each congruence holds iff p does
 not divide m, so the full system is trial division in congruence form.
 The checks are evaluated by square-and-multiply modular exponentiation,
-never by a divisibility test, and the verdict is returned together with
-the checks that were performed.
+never by a divisibility test.
+
+``certify`` and ``certify_verdict`` run the system for one m, and a
+certificate carries the checks it performed. ``certify_block`` gives the
+verdicts of a whole block of m at once: m^(p-1) mod p depends only on the
+residue class of m mod p, so it evaluates the congruence once per class,
+p pows for the prime p, and gathers those p outcomes over every m of the
+block whose system contains p. ``VerdictTable`` grows by such blocks.
 """
 
 import enum
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfTable
+from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, SpfTable
 
 __all__ = [
     "Certificate",
@@ -23,6 +29,7 @@ __all__ = [
     "Verdict",
     "VerdictTable",
     "certify",
+    "certify_block",
     "certify_verdict",
     "fermat_congruence_holds",
 ]
@@ -128,18 +135,67 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
     return Certificate(subject=m, checks=tuple(checks), verdict=verdict, failing_modulus=failing)
 
 
+def _block_bytes(lo: int, hi: int) -> int:
+    """Bytes certify_block(lo, hi) counts against the budget: the numpy
+    block and the verdict bytes, one byte per m each, and the tiling
+    temporary, which is at most two periods longer than the block."""
+    return 3 * (hi - lo + 1) + 2 * math.isqrt(hi)
+
+
+def _check_budget(needed: int, what: str, memory_budget: int) -> None:
+    if needed > memory_budget:
+        raise MemoryBudgetError(
+            f"{what} needs {needed} bytes, budget is {memory_budget}"
+        )
+
+
+def certify_block(
+    lo: int, hi: int, table: SpfTable, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
+) -> bytes:
+    """One byte per m in [lo, hi]: 1 where m certifies as prime.
+
+    Byte m - lo equals ``certify_verdict(m, table)[0]``. For each prime
+    p <= isqrt(hi) the congruence a^(p-1) == 1 (mod p) is evaluated once
+    for every residue class a in [0, p), by ``pow``; the p outcomes are
+    then tiled over m in [max(lo, p^2), hi], starting at the class of the
+    first such m, and folded into the block. An empty block (lo > hi) is
+    b"".
+    """
+    if lo > hi:
+        return b""
+    _scan_bound(lo, table)  # m >= 2
+    bound = _scan_bound(hi, table)
+    _check_budget(
+        _block_bytes(lo, hi), f"certifying the block [{lo}, {hi}]", memory_budget
+    )
+    block = np.ones(hi - lo + 1, dtype=np.bool_)
+    for p in table.prime_list[:bound]:
+        holds = np.array([pow(a, p - 1, p) == 1 for a in range(p)], dtype=np.bool_)
+        start = max(lo, p * p)  # p is in the system of m exactly when p^2 <= m
+        width = hi - start + 1
+        offset = start % p
+        reps = -(-(offset + width) // p)
+        block[start - lo :] &= np.tile(holds, reps)[offset : offset + width]
+    return block.tobytes()
+
+
 class VerdictTable:
     """Certification verdicts for every value up to a limit.
 
-    Each entry is computed by its own congruence-system run; the table
-    exists so range sweeps over the Fermat route can intersect slices
-    instead of re-certifying the same value once per n. The verdicts are
-    kept once, as ``verdict_bytes`` (1 where the value certifies as
-    prime); ``verdicts`` is a read-only numpy view of those bytes.
+    The table grows by blocks: ``ensure`` certifies the values past its
+    limit with one ``certify_block`` call, so each congruence is evaluated
+    once per residue class of the block rather than once per value. Range
+    sweeps over the Fermat route intersect slices of it instead of
+    re-certifying the same value once per n. The verdicts are kept once,
+    as ``verdict_bytes`` (1 where the value certifies as prime);
+    ``verdicts`` is a read-only numpy view of those bytes. Growth that
+    would hold more than ``memory_budget`` bytes raises MemoryBudgetError
+    before anything is allocated.
     """
 
-    def __init__(self, table: SpfTable):
+    def __init__(self, table: SpfTable, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.table = table
+        self.memory_budget = memory_budget
         self._bytes = bytes(2)
         self._view = np.frombuffer(self._bytes, np.bool_)
 
@@ -157,10 +213,15 @@ class VerdictTable:
 
     def ensure(self, limit: int) -> np.ndarray:
         if limit > self.limit:
-            table = self.table
-            self._bytes += bytes(
-                certify_verdict(m, table)[0]
-                for m in range(max(2, len(self._bytes)), limit + 1)
+            lo = len(self._bytes)
+            # the old and the grown bytes coexist while they are joined
+            _check_budget(
+                lo + (limit + 1) + _block_bytes(lo, limit),
+                f"verdict table over [0, {limit}]",
+                self.memory_budget,
+            )
+            self._bytes += certify_block(
+                lo, limit, self.table, memory_budget=self.memory_budget
             )
             self._view = np.frombuffer(self._bytes, np.bool_)
         return self._view

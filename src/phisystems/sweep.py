@@ -3,7 +3,9 @@
 Each task's rules sit in one entry of a task table: the sieve limit and
 the shared tables its rows read, its eligible n, its row, and the count
 the trial-division oracle expects. In count mode the pair, triple and
-triple-with-3 rows read every count from one ``goldbach.count_table``.
+triple-with-3 rows read every count from one ``goldbach.count_table``;
+certify rows read their verdicts from one ``certify.certify_block`` over
+the swept n.
 A sweep cuts the eligible n into sixteen contiguous chunks per worker,
 evaluates each n independently, in this process on one worker or on
 forked workers (at most one per usable CPU), and merges the results in
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import bertrand, goldbach, oracle
 from .arith import DEFAULT_MEMORY_BUDGET, PrimePi, SpfTable, build_spf
-from .certify import VerdictTable, certify_verdict
+from .certify import VerdictTable, certify_block
 
 __all__ = [
     "CSV_HEADER",
@@ -175,15 +177,17 @@ class _Runtime(NamedTuple):
     pi: PrimePi | None = None
     verdicts: VerdictTable | None = None
     counts: np.ndarray | None = None
+    block_lo: int = 0  # block[n - block_lo] is the verdict of the swept n
+    block: bytes = b""
 
 
-def _with_pi(task, rt, hi, options):
+def _with_pi(task, rt, ns, hi, options):
     if options.first_witness_only:
         return rt
     return rt._replace(pi=PrimePi.from_spf(rt.table))
 
 
-def _with_counts(task, rt, hi, options):
+def _with_counts(task, rt, ns, hi, options):
     if options.first_witness_only:
         return rt
     counts = goldbach.count_table(
@@ -192,15 +196,21 @@ def _with_counts(task, rt, hi, options):
     return rt._replace(counts=counts)
 
 
-def _with_verdicts(task, rt, hi, options):
-    verdicts = VerdictTable(rt.table)
+def _with_verdicts(task, rt, ns, hi, options):
+    verdicts = VerdictTable(rt.table, options.memory_budget)
     verdicts.ensure(2 * hi - 2)
     return rt._replace(verdicts=verdicts)
 
 
+def _with_block(task, rt, ns, hi, options):
+    # the swept n only, so a narrow range high up certifies just that range
+    block = certify_block(ns.start, hi, rt.table, memory_budget=options.memory_budget)
+    return rt._replace(block_lo=ns.start, block=block)
+
+
 def _row_certify(n, rt, options):
-    prime_v, _failing = certify_verdict(n, rt.table)
-    ok = prime_v == bool(rt.table.is_prime_bytes[n])
+    prime_v = rt.block[n - rt.block_lo]
+    ok = prime_v == rt.table.is_prime_bytes[n]  # the sieve stays the other side
     return (1 if ok else 0), ("Prime" if prime_v else "Composite"), ok
 
 
@@ -287,11 +297,11 @@ class _Task(NamedTuple):
     step: int
     row: Callable  # (n, rt, options) -> (count, first witness, ok)
     oracle: Callable  # (n, rt) -> the count the row should report
-    setup: Callable = lambda task, rt, hi, options: rt  # adds the tables rows read
+    setup: Callable = lambda task, rt, ns, hi, options: rt  # adds the tables rows read
 
 
 _SPECS = {
-    "certify": _Task(lambda hi: hi, 2, 1, _row_certify, _oracle_certify),
+    "certify": _Task(lambda hi: hi, 2, 1, _row_certify, _oracle_certify, _with_block),
     "bertrand": _Task(
         lambda hi: 2 * hi - 2, 4, 1, _row_bertrand, _oracle_bertrand, _with_pi
     ),
@@ -386,10 +396,9 @@ def run_sweep(
         table = build_spf(need, memory_budget=options.memory_budget)
     elif table.limit < need:
         raise ValueError(f"table limit {table.limit} is below the required {need}")
-    rt = spec.setup(task, _Runtime(table.warm()), hi, options)
-
     start = max(lo, spec.first)
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
+    rt = spec.setup(task, _Runtime(table.warm()), ns, hi, options)
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))

@@ -15,7 +15,13 @@ import pytest
 
 from phisystems.arith import PrimePi, build_spf
 from phisystems.bertrand import bertrand_count, bertrand_solutions, count_identity_check
-from phisystems.certify import Verdict, VerdictTable, certify
+from phisystems.certify import (
+    Verdict,
+    VerdictTable,
+    certify,
+    certify_block,
+    certify_verdict,
+)
 from phisystems.goldbach import (
     binary_solutions,
     decomposition_to_xy,
@@ -75,6 +81,22 @@ def test_criterion_1_certification_equivalence(table):
         "criterion 1: certification equivalence on [2, 1e6]",
         not mismatches and elapsed < 60.0,
         f"{len(mismatches)} mismatches, {elapsed:.1f}s",
+    )
+
+
+def test_certify_block_fast_path_on_criterion_1_range(table):
+    """The block kernel equals the sieve on [2, 1e6] and the per-m verdict on a sample."""
+    started = time.perf_counter()
+    block = certify_block(2, CERTIFY_LIMIT, table)
+    elapsed = time.perf_counter() - started
+    assert block == table.is_prime_bytes[2 : CERTIFY_LIMIT + 1]
+    rng = random.Random(PAIR_SAMPLE_SEED)
+    sample = [rng.randint(2, CERTIFY_LIMIT) for _ in range(2_000)]
+    bad = [m for m in sample if block[m - 2] != certify_verdict(m, table)[0]]
+    report(
+        "certify_block on [2, 1e6]: equals the sieve and the per-m verdicts",
+        not bad,
+        f"{len(bad)} sample mismatches, kernel {elapsed:.2f}s",
     )
 
 

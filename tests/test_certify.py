@@ -1,19 +1,26 @@
+import importlib
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phisystems.arith import MemoryBudgetError, build_spf
 from phisystems.certify import (
     Verdict,
     VerdictTable,
     certify,
+    certify_block,
     certify_verdict,
     fermat_congruence_holds,
 )
 
 from conftest import TABLE_LIMIT
+
+# the package re-exports the function certify under the module's name
+certify_module = importlib.import_module("phisystems.certify")
 
 
 class TestFermatCongruence:
@@ -138,3 +145,90 @@ class TestVerdictTable:
         assert (arr[: len(first)] == first).all()
         assert vt.limit == 200
         assert vt.ensure(100) is arr  # no shrink, no rebuild
+
+    def test_growth_in_blocks_matches_one_block(self, table):
+        grown = VerdictTable(table)
+        for limit in (3, 4, 97, 1_001, 9_999, 25_003, 40_001):
+            grown.ensure(limit)
+        once = VerdictTable(table)
+        once.ensure(40_001)
+        assert grown.verdict_bytes == once.verdict_bytes
+        assert grown.verdict_bytes == table.is_prime_bytes[: 40_002]
+
+    def test_memory_budget_checked_before_growth(self, table):
+        vt = VerdictTable(table, memory_budget=10_000)
+        vt.ensure(1_000)
+        before = vt.verdict_bytes
+        with pytest.raises(MemoryBudgetError, match="budget"):
+            vt.ensure(5_000)
+        assert vt.verdict_bytes is before and vt.limit == 1_000
+
+
+def _per_m(lo, hi, table):
+    return bytes(certify_verdict(m, table)[0] for m in range(lo, hi + 1))
+
+
+class TestCertifyBlock:
+    def test_equals_per_m_verdicts(self, table):
+        assert certify_block(2, 200_000, table) == _per_m(2, 200_000, table)
+
+    def test_random_blocks_around_prime_squares(self, table):
+        # a block costs sum(p) pows over p <= isqrt(hi): keep hi near 10^6
+        rng = random.Random(20261018)
+        primes = [p for p in table.prime_list if p * p <= 10**6]
+        blocks = []
+        for _ in range(20):
+            lo = rng.randrange(2, 10**6)
+            blocks.append((lo, lo + rng.randrange(0, 3_000)))
+        for p in rng.sample(primes, 12) + [2, 3, 5, 7]:
+            # lo just below, at and just above p^2, where p joins the system
+            for lo in (p * p - 1, p * p, p * p + 1):
+                if lo >= 2:
+                    blocks.append((lo, lo + rng.randrange(0, 2 * p + 50)))
+        for lo, hi in blocks:
+            assert certify_block(lo, hi, table) == _per_m(lo, hi, table), (lo, hi)
+
+    def test_small_starts_and_single_values(self, table):
+        for lo in (2, 3, 4):
+            for hi in range(lo, 60):
+                assert certify_block(lo, hi, table) == _per_m(lo, hi, table)
+        for m in (2, 3, 4, 9, 25, 49, 97, 7919, 999_983, 10**6, 1_018_081):
+            assert certify_block(m, m, table) == bytes([certify_verdict(m, table)[0]])
+        assert certify_block(10, 9, table) == b""
+
+    def test_table_limit_bounds_the_block(self):
+        small = build_spf(1_000)
+        hi = 1_001**2 - 1  # isqrt(hi) is exactly the table limit
+        assert math.isqrt(hi) == small.limit
+        assert certify_block(hi - 500, hi, small) == _per_m(hi - 500, hi, small)
+        with pytest.raises(ValueError, match="beyond the table limit") as block_err:
+            certify_block(hi - 500, hi + 1, small)
+        with pytest.raises(ValueError) as scalar_err:
+            certify_verdict(hi + 1, small)
+        assert str(block_err.value) == str(scalar_err.value)
+        with pytest.raises(ValueError, match="m >= 2"):
+            certify_block(1, 10, small)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(2, 10_000), (123_457, 130_000), (999_000, 10**6)]
+    )
+    def test_one_pow_per_residue_class(self, table, monkeypatch, lo, hi):
+        calls = []
+
+        def counting_pow(base, exp, mod):
+            calls.append((base, exp, mod))
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(certify_module, "pow", counting_pow, raising=False)
+        got = certify_block(lo, hi, table)
+        monkeypatch.undo()
+        primes = [p for p in table.prime_list if p <= math.isqrt(hi)]
+        assert len(calls) == sum(primes)
+        # every base is a residue class in [0, p), each evaluated once
+        assert sorted(calls) == sorted((a, p - 1, p) for p in primes for a in range(p))
+        assert got == _per_m(lo, hi, table)
+
+    def test_memory_budget(self, table):
+        with pytest.raises(MemoryBudgetError, match="budget"):
+            certify_block(2, 100_000, table, memory_budget=100_000)
+        assert len(certify_block(2, 10_000, table, memory_budget=100_000)) == 9_999

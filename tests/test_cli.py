@@ -97,6 +97,23 @@ def test_count_table_over_budget_exit_3():
     assert proc.returncode == 0
 
 
+def test_via_fermat_verdict_table_over_budget_exit_3():
+    # the route sieves only to isqrt(4 * 10^6), but its verdict table
+    # holds a byte for every value up to 2 hi - 2
+    proc = run_cli(
+        "binary",
+        "--via-fermat",
+        "--first-witness-only",
+        "--from",
+        "4",
+        "--to",
+        "2000000",
+        env={"PHISYSTEMS_MEMORY_BUDGET": "1M"},
+    )
+    assert proc.returncode == 3
+    assert b"verdict table" in proc.stderr and b"budget" in proc.stderr
+
+
 def test_budget_suffix_parsing():
     assert cli._parse_budget("512M") == 512 << 20
     assert cli._parse_budget("2G") == 2 << 30

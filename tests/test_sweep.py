@@ -244,3 +244,63 @@ def test_failure_invariants(table):
     report = run_sweep("binary", 2, 400, table=table)
     assert all(lo_n >= 1 for _, lo_n, _ in report.per_n)
     assert set(report.failures) <= {n for n, _, _ in report.per_n}
+
+
+HIGH = (10**6 - 200, 10**6)
+
+
+def test_certify_sweep_certifies_only_the_swept_n(
+    reference_rows, usable_cpus, monkeypatch
+):
+    usable_cpus(2)
+    blocks = []
+    honest = sweep.certify_block
+
+    def recording_block(lo, hi, table, **kwargs):
+        out = honest(lo, hi, table, **kwargs)
+        blocks.append((lo, hi, len(out)))
+        return out
+
+    lo, hi = HIGH
+    for options in (SweepOptions(), SweepOptions(verify_against_oracle=True)):
+        expected = RangeReport(
+            task="certify",
+            lo=lo,
+            hi=hi,
+            per_n=tuple(reference_rows("certify", lo, hi, options)),
+            failures=(),
+            config=options.config(),
+        )
+        for threads in (1, 2):
+            with monkeypatch.context() as m:
+                m.setattr(sweep, "certify_block", recording_block)
+                report = run_sweep("certify", lo, hi, replace(options, threads=threads))
+            for fmt in ("json", "csv"):
+                assert emit_report(report, fmt) == emit_report(expected, fmt)
+    assert blocks == [(lo, hi, 201)] * 4
+
+
+def _flip(data: bytes, i: int) -> bytes:
+    return data[:i] + bytes([1 - data[i]]) + data[i + 1 :]
+
+
+def test_certify_sweep_flags_a_wrong_verdict(monkeypatch):
+    lo, hi = HIGH
+    n = 999_983  # the largest prime below 10^6
+    table = build_spf(hi).warm()
+    honest = sweep.certify_block
+
+    def wrong_block(lo, hi, t, **kwargs):
+        return _flip(honest(lo, hi, t, **kwargs), n - lo)
+
+    monkeypatch.setattr(sweep, "certify_block", wrong_block)
+    checked, plain = SweepOptions(verify_against_oracle=True), SweepOptions()
+    # the sieve disagrees with the wrong verdict, with or without the oracle
+    for options in (plain, checked):
+        report = run_sweep("certify", lo, hi, options, table=table)
+        assert report.failures == (n,)
+        assert (n, 0, "Composite") in report.per_n
+    # a sieve that agrees with the wrong verdict is caught by the oracle alone
+    table.is_prime_bytes = _flip(table.is_prime_bytes, n)
+    assert run_sweep("certify", lo, hi, plain, table=table).failures == ()
+    assert run_sweep("certify", lo, hi, checked, table=table).failures == (n,)
