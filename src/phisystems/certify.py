@@ -185,12 +185,12 @@ class VerdictTable:
     The table grows by blocks: ``ensure`` certifies the values past its
     limit with one ``certify_block`` call, so each congruence is evaluated
     once per residue class of the block rather than once per value. Range
-    sweeps over the Fermat route intersect slices of it instead of
-    re-certifying the same value once per n. The verdicts are kept once,
-    as ``verdict_bytes`` (1 where the value certifies as prime);
-    ``verdicts`` is a read-only numpy view of those bytes. Growth that
-    would hold more than ``memory_budget`` bytes raises MemoryBudgetError
-    before anything is allocated.
+    sweeps over the Fermat route read it as their primality, rows and
+    count table alike. The verdicts are kept once, as ``verdict_bytes``
+    (1 where the value certifies as prime); ``verdicts`` is a read-only
+    numpy view of those bytes. Growth that would hold more than
+    ``memory_budget`` bytes raises MemoryBudgetError before anything is
+    allocated.
     """
 
     def __init__(self, table: SpfTable, memory_budget: int = DEFAULT_MEMORY_BUDGET):

@@ -15,13 +15,12 @@ Restricting the product of the first two components to multiples of 3
 ties the triple form back to the pair form at total n - 3.
 
 ``count_table`` gives the pair, triple or triple-with-3 count of every n
-up to a bound at once, from exact FFT convolutions of the odd-prime mask;
-sweeps in count mode read their counts from it. The per-n functions
-``binary_count``, ``ternary_count`` and ``peculiar_count`` stay the
-reference it is tested against. A float convolution is accepted only when
-every value lies within 0.25 of an integer and the rounded values sum to
-the product of the input sums, an exact integer identity; otherwise it
-raises, and there is no fallback route.
+up to a bound at once, from exact FFT convolutions of the odd values of a
+primality mask: the sieve's, or a verdict table's for the congruence form.
+Sweeps in count mode read it; the per-n functions stay the reference it is
+tested against. A float convolution is accepted only when every value lies
+within 0.25 of an integer and the rounded values sum to the product of the
+input sums, an exact integer identity; otherwise it raises, with no fallback.
 """
 
 from bisect import bisect_right
@@ -152,8 +151,8 @@ def fermat_system_solutions(
 
     Each side runs the congruence system with its own bound: primes
     p <= isqrt(n - x) and q <= isqrt(n + x). Passing a VerdictTable
-    reuses one certification per distinct value, which range sweeps need;
-    without it every x re-runs both systems directly.
+    reuses one certification per distinct value; without it every x
+    re-runs both systems directly. Range sweeps use ``count_table``.
     """
     if n <= 3:
         raise ValueError(f"defined for n > 3, got {n}")
@@ -326,7 +325,7 @@ def _exact_convolution(
 def count_table(
     task: str,
     hi: int,
-    table: SpfTable,
+    mask: np.ndarray,
     *,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
@@ -334,43 +333,46 @@ def count_table(
 
     task "binary" gives binary_count(n) for n >= 2; "ternary" and
     "peculiar" give ternary_count(n) and peculiar_count(n) for odd n > 5.
-    Every other entry is 0. All counts come from the self-convolution of
-    the odd-prime mask, which counts ordered odd-prime pairs of each even
-    total, and for "ternary" one more convolution of the pair counts with
-    that mask. Raises MemoryBudgetError before an FFT whose buffers would
-    exceed memory_budget, and ArithmeticError if a convolution is inexact.
+    Every other entry is 0. mask is the sieve's is_prime_mask or a
+    VerdictTable's verdicts, through 2 hi - 1 for "binary" and hi otherwise.
+    Only its odd values are read, packed so that index i holds 2i + 1. The
+    self-convolution of that packed mask counts ordered odd-prime pairs of
+    each even total; "ternary" convolves the pair counts with it once more.
+    Raises MemoryBudgetError before an FFT whose buffers would exceed
+    memory_budget, and ArithmeticError if a convolution is inexact.
     """
     if task not in ("binary", "ternary", "peculiar"):
         raise ValueError(f"no count table for task {task!r}")
     if hi < 0:
         raise ValueError(f"hi must be >= 0, got {hi}")
-    top = 2 * hi if task == "binary" else hi
-    if top > table.limit:
+    top = 2 * hi - 1 if task == "binary" else hi  # the largest value read
+    if top >= len(mask):
         raise ValueError(
-            f"counts through n = {hi} need the sieve through {top}, "
-            f"table stops at {table.limit}"
+            f"counts through n = {hi} need primality through {top}, "
+            f"mask stops at {len(mask) - 1}"
         )
-    odd = table.is_prime_mask[: top + 1].astype(np.uint8)
-    odd[2:3] = 0
-    ordered = _exact_convolution(odd, odd, top + 1, memory_budget)
-    # pairs[s] counts splits s = p + r with p <= r prime: for even s >= 6
-    # both are odd, and each pair p < r appears twice in ordered[s]
-    pairs = np.zeros(top + 1, dtype=np.int64)
-    pairs[::2] = (ordered[::2] + odd[: top // 2 + 1]) // 2
-    pairs[4:5] = 1  # 4 = 2 + 2
     counts = np.zeros(hi + 1, dtype=np.int64)
+    if hi < 2:
+        return counts  # no eligible n, and no odd value to pack
+    odd = mask[1 : top + 1 : 2].astype(np.uint8)  # odd[i]: is 2i + 1 prime
+    # ordered[k] counts ordered odd-prime pairs of the total 2k + 2
+    ordered = _exact_convolution(odd, odd, len(odd), memory_budget)
+    # half[a] counts splits 2a = p + r with p <= r prime: for a >= 3 both are
+    # odd, and each pair p < r appears twice in ordered[a - 1]
+    half = np.append(0, ordered)
+    half[1::2] += odd[: len(half) // 2]  # p = r = a, for odd a
+    half //= 2
+    half[2:3] = 1  # 4 = 2 + 2
     if task == "binary":
-        counts[2:3] = 1
-        counts[3:] = pairs[6::2]
+        counts[2:] = half[2:]
     elif task == "ternary":
-        # sum over odd primes q <= n - 4 of pairs[n - q]; pairs[s] = 0 for s < 4
-        triples = _exact_convolution(pairs, odd, hi + 1, memory_budget)
-        counts[7::2] = triples[7::2]
+        # n = 2b + 1 sums half[b - j] over odd primes q = 2j + 1
+        counts[7::2] = _exact_convolution(half, odd, len(odd), memory_budget)[3:]
     else:
-        # q = 3 branch: pair splits of n - 3; p = 3 branch: ordered odd-prime
-        # pairs (q, r) of n - 3 whose q is not 3
-        n = np.arange(7, hi + 1, 2)
-        counts[n] = pairs[n - 3] + ordered[n - 3] - odd[n - 6]
+        # n = 2b + 1; q = 3 branch: pair splits of n - 3 = 2(b - 1); p = 3
+        # branch: ordered odd-prime pairs (q, r) of n - 3 whose q is not 3
+        b = np.arange(3, len(odd))
+        counts[2 * b + 1] = half[b - 1] + ordered[b - 2] - odd[b - 3]
     return counts
 
 

@@ -2,10 +2,11 @@
 
 Each task's rules sit in one entry of a task table: the sieve limit and
 the shared tables its rows read, its eligible n, its row, and the count
-the trial-division oracle expects. In count mode the pair, triple and
-triple-with-3 rows read every count from one ``goldbach.count_table``;
-certify rows read their verdicts from one ``certify.certify_block`` over
-the swept n.
+the trial-division oracle expects. The pair and certify rows read one
+primality buffer: the sieve's bytes, the congruence verdicts of
+``binary --via-fermat``, or one ``certify.certify_block`` of the swept n.
+In count mode the pair, triple and triple-with-3 rows read every count
+from one ``goldbach.count_table`` over that buffer.
 A sweep cuts the eligible n into sixteen contiguous chunks per worker,
 evaluates each n independently, in this process on one worker or on
 forked workers (at most one per usable CPU), and merges the results in
@@ -174,11 +175,10 @@ class _Runtime(NamedTuple):
     """Read-only tables shared by every worker of one sweep."""
 
     table: SpfTable
+    primes: bytes  # the primality the rows read: primes[n - base] is that of n
+    base: int = 0
     pi: PrimePi | None = None
-    verdicts: VerdictTable | None = None
     counts: np.ndarray | None = None
-    block_lo: int = 0  # block[n - block_lo] is the verdict of the swept n
-    block: bytes = b""
 
 
 def _with_pi(task, rt, ns, hi, options):
@@ -190,26 +190,28 @@ def _with_pi(task, rt, ns, hi, options):
 def _with_counts(task, rt, ns, hi, options):
     if options.first_witness_only:
         return rt
-    counts = goldbach.count_table(
-        task, hi, rt.table, memory_budget=options.memory_budget
-    )
+    mask = np.frombuffer(rt.primes, np.bool_)
+    counts = goldbach.count_table(task, hi, mask, memory_budget=options.memory_budget)
     return rt._replace(counts=counts)
 
 
 def _with_verdicts(task, rt, ns, hi, options):
+    # the congruence route reads verdicts, never the sieve; they reach
+    # 2 hi - 1, all that count_table reads, and a VerdictTable keeps the budget
     verdicts = VerdictTable(rt.table, options.memory_budget)
-    verdicts.ensure(2 * hi - 2)
-    return rt._replace(verdicts=verdicts)
+    verdicts.ensure(2 * hi - 1)
+    rt = rt._replace(primes=verdicts.verdict_bytes)
+    return _with_counts(task, rt, ns, hi, options)
 
 
 def _with_block(task, rt, ns, hi, options):
     # the swept n only, so a narrow range high up certifies just that range
     block = certify_block(ns.start, hi, rt.table, memory_budget=options.memory_budget)
-    return rt._replace(block_lo=ns.start, block=block)
+    return rt._replace(primes=block, base=ns.start)
 
 
 def _row_certify(n, rt, options):
-    prime_v = rt.block[n - rt.block_lo]
+    prime_v = rt.primes[n - rt.base]
     ok = prime_v == rt.table.is_prime_bytes[n]  # the sieve stays the other side
     return (1 if ok else 0), ("Prime" if prime_v else "Composite"), ok
 
@@ -233,16 +235,7 @@ def _counted_row(n, fw, rt, options):
 
 
 def _row_binary(n, rt, options):
-    w = goldbach.first_binary_witness(n, rt.table)
-    return _counted_row(n, w.x if w else None, rt, options)
-
-
-def _row_fermat(n, rt, options):
-    if options.first_witness_only:
-        x = goldbach._first_pair_y(2 * n, rt.verdicts.verdict_bytes)
-        return (0, None, False) if x is None else (1, x, True)
-    xs = goldbach.fermat_system_solutions(n, rt.table, verdicts=rt.verdicts)
-    return len(xs), (xs[0] if xs else None), bool(xs)
+    return _counted_row(n, goldbach._first_pair_y(2 * n, rt.primes), rt, options)
 
 
 def _row_ternary(n, rt, options):
@@ -306,10 +299,9 @@ _SPECS = {
         lambda hi: 2 * hi - 2, 4, 1, _row_bertrand, _oracle_bertrand, _with_pi
     ),
     "binary": _Task(lambda hi: 2 * hi, 2, 1, _row_binary, _oracle_binary, _with_counts),
-    # the congruence route: its rows read only the verdicts, and certifying
-    # every value up to 2 hi - 2 needs no prime above isqrt(2 hi)
+    # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
-        lambda hi: math.isqrt(2 * hi), 4, 1, _row_fermat, _oracle_binary, _with_verdicts
+        lambda hi: math.isqrt(2 * hi), 4, 1, _row_binary, _oracle_binary, _with_verdicts
     ),
     "ternary": _Task(lambda hi: hi, 7, 2, _row_ternary, _oracle_ternary, _with_counts),
     "peculiar": _Task(
@@ -388,7 +380,9 @@ def run_sweep(
     if lo < 0:
         raise ValueError(f"range must be non-negative, got lo = {lo}")
     route = f"{task} --via-fermat" if options.via_fermat else task
-    spec = _SPECS.get(route, _SPECS[task])  # only binary has a congruence route
+    if route not in _SPECS:
+        raise ValueError(f"via_fermat applies to the binary task only, got {task!r}")
+    spec = _SPECS[route]
 
     started = time.perf_counter()
     need = max(spec.sieve(hi), 4)
@@ -398,7 +392,7 @@ def run_sweep(
         raise ValueError(f"table limit {table.limit} is below the required {need}")
     start = max(lo, spec.first)
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
-    rt = spec.setup(task, _Runtime(table.warm()), ns, hi, options)
+    rt = spec.setup(task, _Runtime(table.warm(), table.is_prime_bytes), ns, hi, options)
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))

@@ -87,9 +87,9 @@ def test_memory_budget_exit_3():
 
 
 def test_count_table_over_budget_exit_3():
-    # the spf table through 2000 takes 8 KB; the count table's length-4096
-    # FFT counts 192 KiB of buffers
-    args = ("binary", "--from", "2", "--to", "1000", "--format", "csv")
+    # the spf table through 4000 takes 16 KB; the count table packs the 2000
+    # odd values below 4000 into a length-4096 FFT, 192 KiB of buffers
+    args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
     proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
     assert proc.returncode == 3
     assert b"FFT" in proc.stderr and b"budget" in proc.stderr
@@ -166,7 +166,7 @@ def test_out_and_emit_counts(tmp_path):
 def test_conjecture_failure_exits_1_and_prints_n(monkeypatch, capfd):
     # no real counterexample exists at desk scale; fake an empty witness
     # search to exercise the failure path end to end
-    monkeypatch.setattr(goldbach, "first_binary_witness", lambda n, table: None)
+    monkeypatch.setattr(goldbach, "_first_pair_y", lambda s, prime_bytes: None)
     code = call_main(
         ["binary", "--from", "2", "--to", "6", "--first-witness-only", "--format", "csv"]
     )

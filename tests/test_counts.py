@@ -5,9 +5,11 @@ import pytest
 
 from phisystems import goldbach
 from phisystems.arith import MemoryBudgetError
+from phisystems.certify import VerdictTable
 from phisystems.goldbach import (
     binary_count,
     count_table,
+    fermat_system_solutions,
     peculiar_count,
     ternary_count,
 )
@@ -19,15 +21,29 @@ PECULIAR_HI = 20_000
 
 
 def test_binary_table_matches_per_n(table):
-    counts = count_table("binary", BINARY_HI, table)
+    counts = count_table("binary", BINARY_HI, table.is_prime_mask)
     assert counts.shape == (BINARY_HI + 1,)
     assert counts[:2].tolist() == [0, 0]
     bad = [n for n in range(2, BINARY_HI + 1) if counts[n] != binary_count(n, table)]
     assert bad == []
 
 
+def test_binary_table_over_verdicts_matches_fermat_route(table):
+    vt = VerdictTable(table)
+    counts = count_table("binary", BINARY_HI, vt.ensure(2 * BINARY_HI - 1))
+    bad = [
+        n
+        for n in range(4, BINARY_HI + 1)
+        if counts[n] != len(fermat_system_solutions(n, table, verdicts=vt))
+    ]
+    assert bad == []
+    # without a VerdictTable every value is certified afresh, one n at a time
+    scalar = [len(fermat_system_solutions(n, table)) for n in range(4, 301)]
+    assert counts[4:301].tolist() == scalar
+
+
 def test_ternary_table_matches_per_n(table):
-    counts = count_table("ternary", TERNARY_HI, table)
+    counts = count_table("ternary", TERNARY_HI, table.is_prime_mask)
     odd = range(7, TERNARY_HI + 1, 2)
     assert [int(counts[n]) for n in odd] == [ternary_count(n, table) for n in odd]
     others = np.setdiff1d(np.arange(TERNARY_HI + 1), np.array(odd))
@@ -35,7 +51,7 @@ def test_ternary_table_matches_per_n(table):
 
 
 def test_peculiar_table_matches_per_n(table):
-    counts = count_table("peculiar", PECULIAR_HI, table)
+    counts = count_table("peculiar", PECULIAR_HI, table.is_prime_mask)
     odd = range(7, PECULIAR_HI + 1, 2)
     assert [int(counts[n]) for n in odd] == [peculiar_count(n, table) for n in odd]
     others = np.setdiff1d(np.arange(PECULIAR_HI + 1), np.array(odd))
@@ -44,13 +60,13 @@ def test_peculiar_table_matches_per_n(table):
 
 def test_edges(table):
     # 4 = 2 + 2 and 6 = 3 + 3; 7 = 2 + 3 + 2; 9 = 3 + 3 + 3 = 2 + 5 + 2
-    binary = count_table("binary", 3, table)
+    binary = count_table("binary", 3, table.is_prime_mask)
     assert binary.tolist() == [0, 0, 1, 1]
     assert binary_count(2, table) == binary_count(3, table) == 1
-    ternary = count_table("ternary", 9, table)
+    ternary = count_table("ternary", 9, table.is_prime_mask)
     assert ternary[7] == ternary_count(7, table) == 1
     assert ternary[9] == ternary_count(9, table) == 2
-    peculiar = count_table("peculiar", 9, table)
+    peculiar = count_table("peculiar", 9, table.is_prime_mask)
     assert peculiar[7] == peculiar_count(7, table) == 1
     assert peculiar[9] == peculiar_count(9, table) == 1
 
@@ -58,34 +74,42 @@ def test_edges(table):
 @pytest.mark.parametrize("task", ["binary", "ternary", "peculiar"])
 def test_tiny_ranges(table, task):
     for hi in range(12):
-        counts = count_table(task, hi, table)
+        counts = count_table(task, hi, table.is_prime_mask)
         assert counts.shape == (hi + 1,)
-        assert counts.tolist() == count_table(task, 11, table)[: hi + 1].tolist()
+        wider = count_table(task, 11, table.is_prime_mask)
+        assert counts.tolist() == wider[: hi + 1].tolist()
 
 
 def test_rejects_bad_arguments(table):
     with pytest.raises(ValueError):
-        count_table("bertrand", 10, table)
+        count_table("bertrand", 10, table.is_prime_mask)
     with pytest.raises(ValueError):
-        count_table("ternary", -1, table)
+        count_table("ternary", -1, table.is_prime_mask)
     with pytest.raises(ValueError):
-        count_table("binary", table.limit // 2 + 1, table)
+        count_table("binary", table.limit // 2 + 1, table.is_prime_mask)
     with pytest.raises(ValueError):
-        count_table("peculiar", table.limit + 1, table)
+        count_table("peculiar", table.limit + 1, table.is_prime_mask)
+    # a mask must reach 2 hi - 1 for pairs and hi for triples
+    for task, hi, top in [("binary", 10, 19), ("ternary", 11, 11), ("peculiar", 9, 9)]:
+        count_table(task, hi, table.is_prime_mask[: top + 1])
+        with pytest.raises(ValueError):
+            count_table(task, hi, table.is_prime_mask[:top])
 
 
 def test_memory_budget(table):
-    # a length-2^15 FFT counts 6 * 8 * 2^15 bytes of buffers
+    # the 5000 odd values through 10^4 take a length-2^14 FFT, which counts
+    # 6 * 8 * 2^14 bytes of buffers
+    mask = table.is_prime_mask
     with pytest.raises(MemoryBudgetError):
-        count_table("peculiar", 10_000, table, memory_budget=6 * 8 * 2**15 - 1)
-    assert count_table("peculiar", 10_000, table, memory_budget=6 * 8 * 2**15).any()
+        count_table("peculiar", 10_000, mask, memory_budget=6 * 8 * 2**14 - 1)
+    assert count_table("peculiar", 10_000, mask, memory_budget=6 * 8 * 2**14).any()
 
 
 def test_inexact_convolution_raises(table, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
     with pytest.raises(ArithmeticError, match="nearest integer"):
-        count_table("binary", 100, table)
+        count_table("binary", 100, table.is_prime_mask)
 
 
 def test_miscounted_convolution_raises(table, monkeypatch):
@@ -99,7 +123,7 @@ def test_miscounted_convolution_raises(table, monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", off_by_one)
     with pytest.raises(ArithmeticError, match="sum"):
-        count_table("peculiar", 100, table)
+        count_table("peculiar", 100, table.is_prime_mask)
 
 
 @pytest.mark.parametrize(
@@ -117,11 +141,19 @@ def test_sweep_counts_match_per_n_on_any_worker_count(
 
 
 def test_sweep_count_mode_skips_per_n_counts(table, monkeypatch):
-    def refuse(n, table):
-        raise AssertionError("per-n count called in a count-mode sweep")
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-n function called in a count-mode sweep")
 
-    for name in ("binary_count", "ternary_count", "peculiar_count"):
+    for name in (
+        "binary_count",
+        "ternary_count",
+        "peculiar_count",
+        "fermat_system_solutions",
+        "first_binary_witness",
+    ):
         monkeypatch.setattr(goldbach, name, refuse)
     assert run_sweep("binary", 2, 50, table=table).failures == ()
     assert run_sweep("ternary", 7, 51, table=table).failures == ()
     assert run_sweep("peculiar", 7, 51, table=table).failures == ()
+    via_fermat = SweepOptions(via_fermat=True)
+    assert run_sweep("binary", 4, 50, via_fermat, table=table).failures == ()

@@ -238,6 +238,10 @@ def test_rejects_bad_arguments(table):
         run_sweep("binary", 2, table.limit, table=table)  # table too small
     with pytest.raises(ValueError):
         emit_report(run_sweep("binary", 2, 4, table=table), "xml")
+    # only binary has a congruence route
+    for task in ("certify", "bertrand", "ternary", "peculiar", "proposition"):
+        with pytest.raises(ValueError, match="via_fermat"):
+            run_sweep(task, 7, 11, SweepOptions(via_fermat=True), table=table)
 
 
 def test_failure_invariants(table):
