@@ -7,6 +7,9 @@ function pi all read off it. Primality is derived once, as one byte per
 value; the numpy mask is a read-only view of those bytes. Queries above
 the table limit fall back to trial division, so every result stays exact.
 
+``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
+sieve, the FFT count convolution and the certification blocks all call.
+
 Tables are immutable after construction and safe to share across threads
 or forked worker processes.
 """
@@ -32,6 +35,14 @@ _SPF_DTYPE = np.uint32
 
 class MemoryBudgetError(Exception):
     """A requested table would exceed the configured memory budget."""
+
+
+def _check_budget(needed: int, what: str, memory_budget: int) -> None:
+    """Raise MemoryBudgetError when ``what`` needs more than the budget."""
+    if needed > memory_budget:
+        raise MemoryBudgetError(
+            f"{what} needs {needed} bytes, budget is {memory_budget}"
+        )
 
 
 def _check_natural(a: int) -> None:
@@ -161,18 +172,7 @@ class SpfTable:
         _check_natural(a)
         if a <= self.limit:
             return a >= 2 and int(self.spf[a]) == a
-        r = math.isqrt(a)
-        for p in self.prime_list:
-            if p > r:
-                return True
-            if a % p == 0:
-                return False
-        d = self.limit + 1
-        while d <= r:
-            if a % d == 0:
-                return False
-            d += 1
-        return True
+        return self.factorize(a) == [(a, 1)]
 
 
 @dataclass(eq=False)
@@ -200,12 +200,7 @@ def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTabl
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= 2**32:
         raise MemoryBudgetError(f"limit {limit} exceeds the 32-bit spf cell range")
-    needed = 4 * (limit + 1)
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"spf table over [2, {limit}] needs {needed} bytes, "
-            f"budget is {memory_budget}"
-        )
+    _check_budget(4 * (limit + 1), f"spf table over [2, {limit}]", memory_budget)
     spf = np.zeros(limit + 1, dtype=_SPF_DTYPE)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

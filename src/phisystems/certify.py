@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, SpfTable
+from . import oracle
+from .arith import DEFAULT_MEMORY_BUDGET, SpfTable, _check_budget
 
 __all__ = [
     "Certificate",
@@ -67,15 +68,6 @@ class Certificate:
     failing_modulus: int | None
 
 
-def _is_prime_trial(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, math.isqrt(p) + 1):
-        if p % d == 0:
-            return False
-    return True
-
-
 def fermat_congruence_holds(m: int, p: int) -> bool:
     """Whether m^(p-1) == 1 (mod p), i.e. whether the prime p misses m.
 
@@ -85,7 +77,7 @@ def fermat_congruence_holds(m: int, p: int) -> bool:
     """
     if m < 1:
         raise ValueError(f"m must be a natural number >= 1, got {m}")
-    if not _is_prime_trial(p):
+    if p < 2 or not oracle.oracle_is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return pow(m, p - 1, p) == 1
 
@@ -140,13 +132,6 @@ def _block_bytes(lo: int, hi: int) -> int:
     block and the verdict bytes, one byte per m each, and the tiling
     temporary, which is at most two periods longer than the block."""
     return 3 * (hi - lo + 1) + 2 * math.isqrt(hi)
-
-
-def _check_budget(needed: int, what: str, memory_budget: int) -> None:
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"{what} needs {needed} bytes, budget is {memory_budget}"
-        )
 
 
 def certify_block(

@@ -3,11 +3,14 @@
 Subcommands mirror the verification tasks; each sweeps [--from, --to] and
 writes exactly one report to stdout (or --out), with progress and summary
 lines on stderr only. Exit codes: 0 when the statement held, 1 when a
-failure was found, 2 on usage errors, 3 when a table would exceed the
-memory budget (override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
+failure was found, 2 on usage errors (an unwritable --out or
+--emit-counts path among them), 3 when a table would exceed the memory
+budget (override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
 """
 
 import argparse
+import dataclasses
+import json
 import math
 import os
 import sys
@@ -109,11 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_file(data: bytes, path: str, what: str) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+    print(f"{what} written to {path}", file=sys.stderr)
+
+
 def _write_output(data: bytes, out: str | None) -> None:
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-        print(f"report written to {out}", file=sys.stderr)
+        _write_file(data, out, "report")
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -121,21 +128,11 @@ def _write_output(data: bytes, out: str | None) -> None:
 
 def _certificate_bytes(cert, fmt: str) -> bytes:
     if fmt == "json":
-        import json
-
         obj = {
             "subject": cert.subject,
             "verdict": cert.verdict.value,
             "failing_modulus": cert.failing_modulus,
-            "checks": [
-                {
-                    "modulus": c.modulus,
-                    "base": c.base,
-                    "exponent": c.exponent,
-                    "residue": c.residue,
-                }
-                for c in cert.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in cert.checks],
         }
         return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
     if fmt == "csv":
@@ -160,11 +157,10 @@ def _certificate_bytes(cert, fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _run_single_certify(args, budget: int) -> int:
-    table = build_spf(max(2, math.isqrt(args.m)), memory_budget=budget)
-    cert = certify(args.m, table, full_checks=True)
-    _write_output(_certificate_bytes(cert, args.format), args.out)
-    return EXIT_OK
+def _single_certificate(args, budget: int) -> bytes:
+    # m < 2 still gets a table, so certify reports its own domain error
+    table = build_spf(math.isqrt(max(args.m, 4)), memory_budget=budget)
+    return _certificate_bytes(certify(args.m, table, full_checks=True), args.format)
 
 
 def main(argv=None) -> int:
@@ -179,19 +175,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    report = None
     try:
         if args.task == "certify" and args.m is not None:
-            return _run_single_certify(args, budget)
-        if args.lo is None or args.hi is None:
-            parser.error("--from and --to are required for a range sweep")
-        options = SweepOptions(
-            first_witness_only=args.first_witness_only,
-            verify_against_oracle=args.verify_against_oracle,
-            via_fermat=getattr(args, "via_fermat", False),
-            threads=args.threads,
-            memory_budget=budget,
-        )
-        report = run_sweep(args.task, args.lo, args.hi, options)
+            data = _single_certificate(args, budget)
+        else:
+            if args.lo is None or args.hi is None:
+                parser.error("--from and --to are required for a range sweep")
+            options = SweepOptions(
+                first_witness_only=args.first_witness_only,
+                verify_against_oracle=args.verify_against_oracle,
+                via_fermat=getattr(args, "via_fermat", False),
+                threads=args.threads,
+                memory_budget=budget,
+            )
+            report = run_sweep(args.task, args.lo, args.hi, options)
+            data = emit_report(report, args.format)
     except MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -199,11 +198,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _write_output(emit_report(report, args.format), args.out)
-    if args.emit_counts:
-        with open(args.emit_counts, "wb") as fh:
-            fh.write(emit_counts(report))
-        print(f"counts written to {args.emit_counts}", file=sys.stderr)
+    try:
+        _write_output(data, args.out)
+        if report is not None and args.emit_counts:
+            _write_file(emit_counts(report), args.emit_counts, "counts")
+    except OSError as exc:  # an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if report is None:
+        return EXIT_OK
     print(
         f"{report.task} [{report.lo}, {report.hi}]: checked {report.checked}, "
         f"failures {len(report.failures)}, {report.elapsed:.2f}s",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, SpfTable
+from .arith import DEFAULT_MEMORY_BUDGET, SpfTable, _check_budget
 from .certify import VerdictTable, certify_verdict
 
 __all__ = [
@@ -294,12 +294,7 @@ def _exact_convolution(
     length = 1 << (size - 1).bit_length()  # a power of two keeps the FFT fast
     # the padded float64 input, two complex128 spectra (two float64 arrays
     # each), the float64 inverse and its rounded copy, the int64 result
-    needed = 6 * 8 * length
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"FFT convolution of length {length} needs {needed} bytes, "
-            f"budget is {memory_budget}"
-        )
+    _check_budget(6 * 8 * length, f"FFT convolution of length {length}", memory_budget)
     spectrum = np.fft.rfft(a, length)
     spectrum *= spectrum if b is a else np.fft.rfft(b, length)
     values = np.fft.irfft(spectrum, length)[:size]

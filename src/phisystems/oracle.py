@@ -5,6 +5,10 @@ no shared tables, no modular exponentiation. Every primality decision is
 trial division by consecutive integers and every enumeration an
 exhaustive scan. Slow on purpose; used by the test suite and by the
 CLI's --verify-against-oracle mode.
+
+The engine calls it in one place: ``certify.fermat_congruence_holds``
+checks that its modulus is prime with ``oracle_is_prime``. That is an
+argument check of a single congruence and decides no verdict.
 """
 
 import math

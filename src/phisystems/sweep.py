@@ -16,6 +16,7 @@ information; elapsed time lives on the report object and in the human
 table format.
 """
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -327,7 +328,7 @@ def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
     return rows, failures
 
 
-# set in the parent right before the pool forks; workers inherit it read-only
+# the running sweep's state; forked workers inherit it read-only
 _WORKER_STATE: tuple[_Task, SweepOptions, _Runtime] | None = None
 
 
@@ -396,28 +397,24 @@ def run_sweep(
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))
-    parts = []
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        global _WORKER_STATE
-        _WORKER_STATE = (spec, options, rt)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                for done, part in enumerate(pool.map(_chunk_entry, chunks), start=1):
-                    parts.append(part)
-                    _progress(done, len(chunks))
-        finally:
-            _WORKER_STATE = None
-    else:
-        for done, chunk in enumerate(chunks, start=1):
-            parts.append(_compute_chunk(spec, options, rt, chunk))
-            _progress(done, len(chunks))
-
     rows: list[tuple] = []
     failures: list[int] = []
-    for chunk_rows, chunk_failures in parts:
-        rows.extend(chunk_rows)
-        failures.extend(chunk_failures)
+    global _WORKER_STATE
+    _WORKER_STATE = (spec, options, rt)
+    try:
+        with contextlib.ExitStack() as stack:
+            chunk_map = map  # one worker: the chunks run in this process
+            if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+                ctx = multiprocessing.get_context("fork")
+                pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+                chunk_map = stack.enter_context(pool).map
+            parts = chunk_map(_chunk_entry, chunks)
+            for done, (chunk_rows, chunk_failures) in enumerate(parts, start=1):
+                rows.extend(chunk_rows)
+                failures.extend(chunk_failures)
+                _progress(done, len(chunks))
+    finally:
+        _WORKER_STATE = None
     return RangeReport(
         task=task,
         lo=lo,

@@ -128,6 +128,10 @@ class TestNuPhi:
         big = 1_000_003 * 1_000_033  # both factors far beyond the table
         assert table.factorize(big) == [(1_000_003, 1), (1_000_033, 1)]
         assert table.phi(big) == 1_000_002 * 1_000_032
+        p, q = 1_000_003, 1_000_033  # primes; their smallest factor is above the table
+        for a, factors in ((p, [(p, 1)]), (p * p, [(p, 2)]), (p * q, [(p, 1), (q, 1)])):
+            assert table.factorize(a) == factors
+            assert table.is_prime(a) == (a == p)
 
 
 class TestPrimePi:

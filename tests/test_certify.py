@@ -37,6 +37,9 @@ class TestFermatCongruence:
             fermat_congruence_holds(5, 4)
         with pytest.raises(ValueError):
             fermat_congruence_holds(5, 1)
+        for p in (0, -3):
+            with pytest.raises(ValueError, match="p must be prime"):
+                fermat_congruence_holds(5, p)
 
     @given(
         st.integers(min_value=1, max_value=100_000),

@@ -43,8 +43,10 @@ def test_single_certify_composite_json():
 
 
 def test_single_certify_rejects_one():
-    proc = run_cli("certify", "1")
-    assert proc.returncode == 2
+    for m in ("1", "0", "-5"):
+        proc = run_cli("certify", m)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: certification is defined for m >= 2, got {m}\n".encode()
 
 
 def test_report_on_stdout_only():
@@ -73,6 +75,15 @@ def test_usage_errors_exit_2():
     assert run_cli("ternary", "--from", "7", "--to", "9", "--format", "yaml").returncode == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--emit-counts"])
+def test_unwritable_output_path_exits_2(tmp_path, flag):
+    path = tmp_path / "missing" / "x.csv"
+    proc = run_cli("binary", "--from", "2", "--to", "10", "--format", "csv", flag, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and str(path).encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_memory_budget_exit_3():
     proc = run_cli(
         "binary",
@@ -99,7 +110,7 @@ def test_count_table_over_budget_exit_3():
 
 def test_via_fermat_verdict_table_over_budget_exit_3():
     # the route sieves only to isqrt(4 * 10^6), but its verdict table
-    # holds a byte for every value up to 2 hi - 2
+    # holds a byte for every value up to 2 hi - 1
     proc = run_cli(
         "binary",
         "--via-fermat",
