@@ -4,8 +4,9 @@ A smallest-prime-factor array over [2, limit] is the factorization
 backbone: the prime-power valuation nu_p, the count nu of prime divisors
 with multiplicity, Euler's totient phi, primality, and the prime-counting
 function pi all read off it. Primality is derived once, as one byte per
-value; the numpy mask is a read-only view of those bytes. Queries above
-the table limit fall back to trial division, so every result stays exact.
+value; the numpy mask is a read-only view of those bytes. Above the limit,
+factorize is one exact trial division: the table's primes, then each odd
+d past the limit, until d * d exceeds the unfactored part.
 
 ``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
 sieve, the FFT count convolution and the certification blocks all call.
@@ -14,6 +15,7 @@ Tables are immutable after construction and safe to share across threads
 or forked worker processes.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,11 +101,6 @@ class SpfTable:
         self.prime_list
         return self
 
-    def smallest_factor(self, a: int) -> int:
-        if a < 2 or a > self.limit:
-            raise ValueError(f"a must be in [2, {self.limit}], got {a}")
-        return int(self.spf[a])
-
     def factorize(self, a: int) -> list[tuple[int, int]]:
         """Prime factorization as ascending (prime, exponent) pairs."""
         _check_natural(a)
@@ -118,30 +115,18 @@ class SpfTable:
                     e += 1
                 out.append((p, e))
             return out
-        rem = a
-        exhausted_table = True
-        for p in self.prime_list:
-            if p * p > rem:
-                exhausted_table = False
+        odd_past_table = itertools.count((self.limit + 1) | 1, 2)
+        for d in itertools.chain(self.prime_list, odd_past_table):
+            if d * d > a:
                 break
-            if rem % p == 0:
+            if a % d == 0:
                 e = 0
-                while rem % p == 0:
-                    rem //= p
+                while a % d == 0:
+                    a //= d
                     e += 1
-                out.append((p, e))
-        if exhausted_table:
-            d = self.limit + 1
-            while d * d <= rem:
-                if rem % d == 0:
-                    e = 0
-                    while rem % d == 0:
-                        rem //= d
-                        e += 1
-                    out.append((d, e))
-                d += 1
-        if rem > 1:
-            out.append((rem, 1))
+                out.append((d, e))
+        if a > 1:
+            out.append((a, 1))
         return out
 
     def nu_p(self, p: int, a: int) -> int:
@@ -171,7 +156,7 @@ class SpfTable:
     def is_prime(self, a: int) -> bool:
         _check_natural(a)
         if a <= self.limit:
-            return a >= 2 and int(self.spf[a]) == a
+            return bool(self.is_prime_bytes[a])
         return self.factorize(a) == [(a, 1)]
 
 
@@ -190,8 +175,6 @@ class PrimePi:
         if x < 0 or x > self.limit:
             raise ValueError(f"x must be in [0, {self.limit}], got {x}")
         return int(self.cumulative[x])
-
-    __call__ = prime_pi
 
 
 def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTable:

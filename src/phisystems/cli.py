@@ -10,6 +10,7 @@ budget (override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
 
 import argparse
 import dataclasses
+import decimal
 import json
 import math
 import os
@@ -29,20 +30,21 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+_INT_DIGITS = 4300  # int() reads at most this many digits from a string
+
+
 def _int_arg(text: str) -> int:
-    """Integer CLI argument; tolerates underscores and 1e6-style notation."""
-    t = text.replace("_", "")
+    """Integer CLI argument, read exactly; tolerates underscores and 1e6-style
+    notation. The exponent is checked first, so 1e999999999 fails at once."""
     try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        v = float(t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not v.is_integer():
+        value = decimal.Decimal(text.replace("_", ""))
+        exact = value.is_finite() and value.adjusted() < _INT_DIGITS
+        exact = exact and value == value.to_integral_value()
+    except decimal.InvalidOperation:
+        exact = False
+    if not exact:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(v)
+    return int(value)
 
 
 def _parse_budget(text: str) -> int:
@@ -166,6 +168,17 @@ def _single_certificate(args, budget: int) -> bytes:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    single = args.task == "certify" and args.m is not None
+    sweep_only = {
+        "--from": args.lo is not None,
+        "--to": args.hi is not None,
+        "--emit-counts": args.emit_counts is not None,
+        "--first-witness-only": args.first_witness_only,
+        "--verify-against-oracle": args.verify_against_oracle,
+    }
+    if single and any(sweep_only.values()):
+        given = ", ".join(flag for flag, on in sweep_only.items() if on)
+        parser.error(f"a single m takes no {given}")
 
     budget = DEFAULT_MEMORY_BUDGET
     try:
@@ -177,7 +190,7 @@ def main(argv=None) -> int:
 
     report = None
     try:
-        if args.task == "certify" and args.m is not None:
+        if single:
             data = _single_certificate(args, budget)
         else:
             if args.lo is None or args.hi is None:

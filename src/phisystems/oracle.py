@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the sieve-backed engine:
 no shared tables, no modular exponentiation. Every primality decision is
 trial division by consecutive integers and every enumeration an
-exhaustive scan. Slow on purpose; used by the test suite and by the
-CLI's --verify-against-oracle mode.
+exhaustive scan. Slow on purpose, so the pair and triple scans share one
+bound, ``ORACLE_LIMIT``, and refuse a larger total or n with ValueError.
+Used by the test suite and by the CLI's --verify-against-oracle mode.
 
 The engine calls it in one place: ``certify.fermat_congruence_holds``
 checks that its modulus is prime with ``oracle_is_prime``. That is an
@@ -72,13 +73,13 @@ def trial_primes_upto(limit: int) -> list[int]:
     return _known_primes[: bisect_right(_known_primes, limit)]
 
 
-def oracle_pairs(total: int, limit: int = ORACLE_LIMIT) -> PairDecomposition:
+def oracle_pairs(total: int) -> PairDecomposition:
     """Exhaustive scan of p in [2, total/2], keeping (p, total - p) when
     both are oracle-prime."""
     if total < 4 or total % 2:
         raise ValueError(f"total must be even and >= 4, got {total}")
-    if total > limit:
-        raise ValueError(f"total {total} exceeds the oracle limit {limit}")
+    if total > ORACLE_LIMIT:
+        raise ValueError(f"total {total} exceeds the oracle limit {ORACLE_LIMIT}")
     _ensure_primes(total)
     pset = _known_set
     pairs = [
@@ -89,7 +90,7 @@ def oracle_pairs(total: int, limit: int = ORACLE_LIMIT) -> PairDecomposition:
     return PairDecomposition(total=total, pairs=pairs)
 
 
-def oracle_triples(n: int, limit: int = ORACLE_LIMIT) -> list[tuple[int, int, int]]:
+def oracle_triples(n: int) -> list[tuple[int, int, int]]:
     """All canonical triples p + q + r = n: odd middle q, p <= r, all prime.
 
     Ordered by (q, p) ascending, matching the engine's middle-then-offset
@@ -97,8 +98,8 @@ def oracle_triples(n: int, limit: int = ORACLE_LIMIT) -> list[tuple[int, int, in
     """
     if n <= 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and > 5, got {n}")
-    if n > limit:
-        raise ValueError(f"n = {n} exceeds the oracle limit {limit}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the oracle limit {ORACLE_LIMIT}")
     _ensure_primes(n)
     ps = _known_primes
     pset = _known_set

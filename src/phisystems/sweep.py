@@ -94,26 +94,6 @@ class RangeReport:
     def checked(self) -> int:
         return len(self.per_n)
 
-    @classmethod
-    def from_json(cls, data: bytes | str) -> "RangeReport":
-        obj = json.loads(data)
-        lo, hi = obj["range"]
-        per_n = tuple(
-            (int(n), int(c), _fw_from_json(fw)) for n, c, fw in obj["per_n"]
-        )
-        return cls(
-            task=obj["task"],
-            lo=int(lo),
-            hi=int(hi),
-            per_n=per_n,
-            failures=tuple(int(n) for n in obj["failures"]),
-            config=dict(obj["config"]),
-        )
-
-
-def _fw_from_json(fw) -> FirstWitness:
-    return tuple(fw) if isinstance(fw, list) else fw
-
 
 def _fw_to_csv(fw: FirstWitness) -> str:
     if fw is None:
@@ -224,7 +204,7 @@ def _row_bertrand(n, rt, options):
         return (1 if found else 0), (w.x if found else None), found
     count = bertrand.bertrand_count(n, rt.table)
     # the identity count_identity_check states, without counting twice
-    ok = count >= 1 and count == rt.pi(2 * n - 2) - rt.pi(n)
+    ok = count >= 1 and count == rt.pi.prime_pi(2 * n - 2) - rt.pi.prime_pi(n)
     return count, (w.x if w else None), ok
 
 

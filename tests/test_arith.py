@@ -17,6 +17,19 @@ def brute_smallest_factor(a):
     raise AssertionError(a)
 
 
+def brute_factorize(a):
+    out, d = [], 2
+    while a > 1:
+        if a % d == 0:
+            e = 0
+            while a % d == 0:
+                a //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    return out
+
+
 def brute_nu(a):
     count, d = 0, 2
     while d * d <= a:
@@ -45,6 +58,8 @@ class TestBuildSpf:
             assert p == brute_smallest_factor(a)
             assert a % p == 0
             assert (p == a) == t.is_prime(a)
+        for a in range(1, 5001):
+            assert t.is_prime(a) == bool(t.is_prime_bytes[a])
         # primality is one buffer: the mask is a read-only view of the bytes
         mask = t.is_prime_mask
         assert not mask.flags.writeable
@@ -122,6 +137,10 @@ class TestNuPhi:
             assert int(table.nu_values[a]) == table.nu(a)
 
     def test_trial_division_fallback_beyond_limit(self, table):
+        # the odd divisors past these tables start at 3, 11, 11 and 13
+        for small in map(build_spf, (2, 9, 10, 11)):
+            for a in range(1, 3001):
+                assert small.factorize(a) == brute_factorize(a)
         for a in range(TABLE_LIMIT + 1, TABLE_LIMIT + 120):
             assert table.nu(a) == brute_nu(a)
             assert table.is_prime(a) == (brute_nu(a) == 1)

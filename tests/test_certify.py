@@ -100,7 +100,7 @@ class TestCertify:
             assert cert.failing_modulus is not None
             assert m % cert.failing_modulus == 0
             if m <= table.limit:
-                assert cert.failing_modulus == table.smallest_factor(m)
+                assert cert.failing_modulus == table.factorize(m)[0][0]
             assert cert.checks[-1].modulus == cert.failing_modulus
             assert cert.checks[-1].residue != 1
 

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,23 @@ def test_single_certify_composite_json():
     assert obj["verdict"] == "Composite"
     assert obj["failing_modulus"] == 5
     assert obj["checks"][-1] == {"modulus": 5, "base": 25, "exponent": 4, "residue": 0}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--from", "0"),
+        ("--to", "9"),
+        ("--emit-counts", "x.csv"),
+        ("--first-witness-only",),
+        ("--verify-against-oracle",),
+    ],
+)
+def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    assert call_main(["certify", "29", *flags]) == 2
+    assert f"a single m takes no {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_single_certify_rejects_one():
@@ -136,8 +155,15 @@ def test_budget_suffix_parsing():
 def test_int_arg_notation():
     assert cli._int_arg("10_000") == 10_000
     assert cli._int_arg("1e4") == 10_000
-    with pytest.raises(Exception):
-        cli._int_arg("1.5")
+    assert cli._int_arg("1_000") == 1000
+    # exact: through a float these two lose their last digits
+    assert cli._int_arg("9.007199254740993e15") == 9_007_199_254_740_993
+    assert cli._int_arg("1e23") == 10**23
+    for text in ("1.5", "1e-3", "nan", "inf", "1e999999999"):
+        started = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            cli._int_arg(text)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_threads_do_not_change_bytes():
@@ -172,6 +198,7 @@ def test_out_and_emit_counts(tmp_path):
     counts = counts_path.read_text().splitlines()
     assert counts[0] == "n,witness_count"
     assert counts[1] == "2,1"
+    assert len(counts) == 1 + 19  # the header and one line per n
 
 
 def test_conjecture_failure_exits_1_and_prints_n(monkeypatch, capfd):
@@ -200,15 +227,7 @@ def test_verify_against_oracle_flag():
 def test_scripts_run():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-
-    def script(name, *args):
-        cmd = [sys.executable, str(root / "scripts" / name), *args]
-        return subprocess.run(cmd, capture_output=True, env=env)
-
-    desk = script("desk_verification.py", "--scale", "0.001")
+    cmd = [sys.executable, str(root / "scripts" / "desk_verification.py"), "--scale", "0.001"]
+    desk = subprocess.run(cmd, capture_output=True, env=env)
     assert desk.returncode == 0, desk.stderr.decode()
     assert b"9/9 checks passed" in desk.stdout
-    counts = script("witness_counts.py", "binary", "--from", "2", "--to", "2000")
-    assert counts.returncode == 0, counts.stderr.decode()
-    assert counts.stdout.startswith(b"n,witness_count\n2,1\n")
-    assert counts.stdout.count(b"\n") == 2000

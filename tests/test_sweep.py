@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -49,8 +50,14 @@ def test_ternary_csv_pair_cell(table):
 
 def test_json_round_trip(table):
     report = run_sweep("ternary", 7, 99, table=table)
-    again = RangeReport.from_json(emit_report(report, "json"))
-    assert again == report
+    assert json.loads(emit_report(report, "json")) == {
+        "task": "ternary",
+        "range": [7, 99],
+        "checked": report.checked,
+        "failures": list(report.failures),
+        "config": report.config,
+        "per_n": [[n, c, list(fw)] for n, c, fw in report.per_n],
+    }
 
 
 def test_json_excludes_timing(table):
@@ -66,7 +73,7 @@ def test_counts_identical_across_formats(table):
         int(line.split(",")[1])
         for line in emit_report(report, "csv").decode().splitlines()[1:]
     ]
-    json_counts = [c for _, c, _ in RangeReport.from_json(emit_report(report, "json")).per_n]
+    json_counts = [c for _, c, _ in json.loads(emit_report(report, "json"))["per_n"]]
     assert csv_counts == json_counts == [c for _, c, _ in report.per_n]
 
 
