@@ -60,7 +60,7 @@ class SpfTable:
     exactly when ``a`` is prime. The primality bytes, their mask view,
     the prime list and the nu table are cached lazily on first use; call
     :meth:`warm` before forking workers that will share the primality
-    caches.
+    mask.
     """
 
     limit: int
@@ -96,9 +96,10 @@ class SpfTable:
         return nu
 
     def warm(self) -> "SpfTable":
-        """Materialize the primality caches (so forked workers inherit them)."""
+        """Materialize the primality bytes and mask, which every sweep reads,
+        so that forked workers inherit them; the prime list is built on
+        first use."""
         self.is_prime_mask
-        self.prime_list
         return self
 
     def factorize(self, a: int) -> list[tuple[int, int]]:

@@ -4,8 +4,9 @@ Subcommands mirror the verification tasks; each sweeps [--from, --to] and
 writes exactly one report to stdout (or --out), with progress and summary
 lines on stderr only. Exit codes: 0 when the statement held, 1 when a
 failure was found, 2 on usage errors (an unwritable --out or
---emit-counts path among them), 3 when a table would exceed the memory
-budget (override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
+--emit-counts path among them), 3 when a table, or the checks of a single
+certificate, would exceed the memory budget (override with
+PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
 """
 
 import argparse
@@ -16,7 +17,9 @@ import math
 import os
 import sys
 
-from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, build_spf
+import numpy as np
+
+from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, _check_budget, build_spf
 from .certify import certify
 from .sweep import TASKS, FORMATS, SweepOptions, emit_counts, emit_report, run_sweep
 
@@ -159,10 +162,26 @@ def _certificate_bytes(cert, fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# The most one congruence check of a single certificate holds while it is
+# rendered: the check, its prime-list entry and its share of the output.
+# tracemalloc puts it at 490-500 bytes in JSON (a dict per check), 300-320
+# in CSV and 330-340 in the table, for m = 10^12 and 10^14 (78498 and
+# 664579 checks).
+_CHECK_BYTES = 512
+
+
 def _single_certificate(args, budget: int) -> bytes:
+    m = args.m
     # m < 2 still gets a table, so certify reports its own domain error
-    table = build_spf(math.isqrt(max(args.m, 4)), memory_budget=budget)
-    return _certificate_bytes(certify(args.m, table, full_checks=True), args.format)
+    table = build_spf(math.isqrt(max(m, 4)), memory_budget=budget)
+    # certify keeps one check per prime p <= isqrt(m), all held at once
+    checks = int(np.count_nonzero(table.is_prime_mask[: math.isqrt(max(m, 0)) + 1]))
+    _check_budget(
+        4 * (table.limit + 1) + _CHECK_BYTES * checks,
+        f"the certificate of {m} with {checks} congruence checks",
+        budget,
+    )
+    return _certificate_bytes(certify(m, table, full_checks=True), args.format)
 
 
 def main(argv=None) -> int:

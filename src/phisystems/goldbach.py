@@ -21,6 +21,13 @@ Sweeps in count mode read it; the per-n functions stay the reference it is
 tested against. A float convolution is accepted only when every value lies
 within 0.25 of an integer and the rounded values sum to the product of the
 input sums, an exact integer identity; otherwise it raises, with no fallback.
+
+``first_pair_y_block`` gives the first pair witness of every total of a
+block at once, in rounds over y that drop each total once it is resolved;
+the minimal offset stays small, so the rounds are few. Sweeps read their
+pair and triple first witnesses from it, and the scalar scans
+(``first_binary_witness``, ``first_peculiar_witness``,
+``two_prime_sum_exists``) stay the reference it is tested against.
 """
 
 from bisect import bisect_right
@@ -41,6 +48,7 @@ __all__ = [
     "decomposition_to_xy",
     "fermat_system_solutions",
     "first_binary_witness",
+    "first_pair_y_block",
     "first_peculiar_witness",
     "first_ternary_witness",
     "peculiar_count",
@@ -195,6 +203,56 @@ def _first_pair_y(s: int, prime_bytes: bytes) -> int | None:
             return y
         y += 2
     return None
+
+
+def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The smallest y >= 0 with m - y and m + y both prime, for every m >= 2
+    of an array, or -1 where there is none, as int64.
+
+    The block form of the scan behind the first witnesses: each round tries
+    one y, in the viable parity class, for every m still open, and closes
+    an m once it has its pair or once y > m - 3. mask is any primality mask
+    reaching 2 max(m) - 3: the sieve's is_prime_mask, a VerdictTable's
+    verdicts or a certify block.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    out = np.full(m.shape, -1, dtype=np.int64)
+    out[m == 2] = 0  # 4 = 2 + 2
+    at = np.flatnonzero(m > 2)
+    # lo = m - y and hi = m + y from the first y that makes both odd, as in
+    # _first_pair_y; they step in place while m is open, so y = (hi - lo) / 2
+    lo = m[at] - 1
+    lo |= 1
+    hi = 2 * m[at] - lo
+    open_ = np.ones(at.shape, dtype=np.bool_)
+    found = np.zeros(at.shape, dtype=np.bool_)
+    while True:
+        open_ &= lo >= 3  # y <= m - 3
+        left = np.count_nonzero(open_)
+        if 2 * left <= open_.size:  # also when no m is left open
+            out[at[found]] = (hi[found] - lo[found]) // 2
+            if not left:
+                return out
+            at, lo, hi, open_, found = _compact(open_, at, lo, hi, open_, found)
+        # a closed m may point outside the mask; its lookup is discarded
+        hit = mask.take(lo, mode="clip")
+        hit &= mask.take(hi, mode="clip")
+        hit &= open_
+        found |= hit
+        open_ &= ~hit
+        np.subtract(lo, 2, out=lo, where=open_)
+        np.add(hi, 2, out=hi, where=open_)
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of each array where keep is set.
+
+    The block rounds compact only once half their entries are closed, and
+    allocate nothing sized by a round's hits, so that their arrays take few
+    distinct sizes: numpy keeps freed buffers below 1 KiB for reuse by
+    size, and hundreds of sizes would leave hundreds of them held.
+    """
+    return tuple(a[keep] for a in arrays)
 
 
 def _odd_prime_bound(n: int, table: SpfTable) -> int:
@@ -383,6 +441,34 @@ def two_prime_sum_exists(total: int, table: SpfTable) -> bool:
         if b[total - plist[i]]:
             return True
     return False
+
+
+def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
+    """two_prime_sum_exists for every total of an array, by rounds over the
+    prime list: round p tests whether total - p is prime for every total
+    still open with p <= total / 2, smallest p first."""
+    out = np.zeros(len(totals), dtype=np.bool_)
+    at = np.arange(len(totals))
+    rest = np.array(totals, dtype=np.int64)  # total - p, stepped in place
+    open_ = np.ones(at.shape, dtype=np.bool_)
+    found = np.zeros(at.shape, dtype=np.bool_)
+    mask = table.is_prime_mask
+    prev = 0
+    for p in table.prime_list:
+        rest -= p - prev
+        prev = p
+        open_ &= rest >= p
+        left = np.count_nonzero(open_)
+        if 2 * left <= open_.size:  # also when no total is left open
+            out[at[found]] = True
+            if not left:
+                break
+            at, rest, open_, found = _compact(open_, at, rest, open_, found)
+        hit = mask.take(rest, mode="clip")
+        hit &= open_
+        found |= hit
+        open_ &= ~hit
+    return out
 
 
 def proposition_check(n: int, table: SpfTable) -> bool:

@@ -1,19 +1,28 @@
 """Deterministic range sweeps over the verification tasks.
 
 Each task's rules sit in one entry of a task table: the sieve limit and
-the shared tables its rows read, its eligible n, its row, and the count
-the trial-division oracle expects. The pair and certify rows read one
-primality buffer: the sieve's bytes, the congruence verdicts of
-``binary --via-fermat``, or one ``certify.certify_block`` of the swept n.
-In count mode the pair, triple and triple-with-3 rows read every count
-from one ``goldbach.count_table`` over that buffer.
+the shared tables its rows read, its eligible n, its rows, and the count
+the trial-division oracle expects. The rows read one primality mask: the
+sieve's, the congruence verdicts of ``binary --via-fermat``, or one
+``certify.certify_block`` of the swept n. In count mode the pair, triple
+and triple-with-3 rows read every count from one ``goldbach.count_table``
+over that mask.
+
+A task's rows take a whole chunk of n at once and come from array passes
+over it: the first pair witnesses from ``goldbach.first_pair_y_block``
+(at m = n for pairs, at m = (n - 3) / 2 for triples, whose first middle
+prime is 3), bertrand's next prime and prime count from ``searchsorted``
+on the chunk's primes, and the certify rows from comparing the block with
+the sieve. Only a ternary n without a q = 3 witness, and the oracle check
+of --verify-against-oracle, are handled one n at a time. The cells stay
+Python ints, tuples of them, and verdict strings.
+
 A sweep cuts the eligible n into sixteen contiguous chunks per worker,
-evaluates each n independently, in this process on one worker or on
-forked workers (at most one per usable CPU), and merges the results in
-range order, so the report is identical for any worker count. For the
-same reason the JSON and CSV renderings carry no timing or parallelism
-information; elapsed time lives on the report object and in the human
-table format.
+runs the chunks in this process on one worker or on forked workers (at
+most one per usable CPU), and merges the results in range order, so the
+report is identical for any worker count. For the same reason the JSON
+and CSV renderings carry no timing or parallelism information; elapsed
+time lives on the report object and in the human table format.
 """
 
 import contextlib
@@ -30,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bertrand, goldbach, oracle
+from . import goldbach, oracle
 from .arith import DEFAULT_MEMORY_BUDGET, PrimePi, SpfTable, build_spf
 from .certify import VerdictTable, certify_block
 
@@ -103,6 +112,16 @@ def _fw_to_csv(fw: FirstWitness) -> str:
     return str(fw)
 
 
+def _text_bytes(lines: list[str]) -> bytes:
+    """The lines, each ended by a newline, as bytes. The list is emptied
+    once joined, so that its strings, the text and the bytes are never all
+    held at once."""
+    lines.append("")
+    text = "\n".join(lines)
+    lines.clear()
+    return text.encode()
+
+
 def emit_report(report: RangeReport, fmt: str) -> bytes:
     """Render a report as bytes: json, csv, or human-aligned table.
 
@@ -123,7 +142,7 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
     if fmt == "csv":
         lines = [CSV_HEADER]
         lines.extend(f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in report.per_n)
-        return ("\n".join(lines) + "\n").encode()
+        return _text_bytes(lines)
     if fmt == "table":
         head = (
             f"task: {report.task}   range: [{report.lo}, {report.hi}]   "
@@ -141,7 +160,7 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
             shown = ", ".join(str(n) for n in report.failures[:50])
             more = "" if len(report.failures) <= 50 else ", ..."
             lines.append(f"failures: {shown}{more}")
-        return ("\n".join(lines) + "\n").encode()
+        return _text_bytes(lines)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -149,14 +168,14 @@ def emit_counts(report: RangeReport) -> bytes:
     """(n, witness_count) rows as CSV, for external plotting."""
     lines = ["n,witness_count"]
     lines.extend(f"{n},{c}" for n, c, _ in report.per_n)
-    return ("\n".join(lines) + "\n").encode()
+    return _text_bytes(lines)
 
 
 class _Runtime(NamedTuple):
     """Read-only tables shared by every worker of one sweep."""
 
     table: SpfTable
-    primes: bytes  # the primality the rows read: primes[n - base] is that of n
+    primes: np.ndarray  # the primality the rows read: primes[n - base] is that of n
     base: int = 0
     pi: PrimePi | None = None
     counts: np.ndarray | None = None
@@ -171,8 +190,9 @@ def _with_pi(task, rt, ns, hi, options):
 def _with_counts(task, rt, ns, hi, options):
     if options.first_witness_only:
         return rt
-    mask = np.frombuffer(rt.primes, np.bool_)
-    counts = goldbach.count_table(task, hi, mask, memory_budget=options.memory_budget)
+    counts = goldbach.count_table(
+        task, hi, rt.primes, memory_budget=options.memory_budget
+    )
     return rt._replace(counts=counts)
 
 
@@ -180,60 +200,104 @@ def _with_verdicts(task, rt, ns, hi, options):
     # the congruence route reads verdicts, never the sieve; they reach
     # 2 hi - 1, all that count_table reads, and a VerdictTable keeps the budget
     verdicts = VerdictTable(rt.table, options.memory_budget)
-    verdicts.ensure(2 * hi - 1)
-    rt = rt._replace(primes=verdicts.verdict_bytes)
+    rt = rt._replace(primes=verdicts.ensure(2 * hi - 1))
     return _with_counts(task, rt, ns, hi, options)
 
 
 def _with_block(task, rt, ns, hi, options):
     # the swept n only, so a narrow range high up certifies just that range
     block = certify_block(ns.start, hi, rt.table, memory_budget=options.memory_budget)
-    return rt._replace(primes=block, base=ns.start)
+    return rt._replace(primes=np.frombuffer(block, np.bool_), base=ns.start)
 
 
-def _row_certify(n, rt, options):
-    prime_v = rt.primes[n - rt.base]
-    ok = prime_v == rt.table.is_prime_bytes[n]  # the sieve stays the other side
-    return (1 if ok else 0), ("Prime" if prime_v else "Composite"), ok
+# A task's rows take one chunk ns and return, in the order of ns, the
+# counts and first-witness cells as Python lists and whether each n's
+# check held as a bool array, from whole-array passes over the chunk.
+def _ints(flags: np.ndarray) -> list[int]:
+    """A bool array as Python 0s and 1s."""
+    return flags.view(np.uint8).tolist()
 
 
-def _row_bertrand(n, rt, options):
-    w = bertrand.first_bertrand_witness(n, rt.table)
+def _cells(cells: list, found: np.ndarray) -> list:
+    """cells, with None where nothing was found."""
+    for i in np.flatnonzero(~found).tolist():
+        cells[i] = None
+    return cells
+
+
+def _rows_certify(ns, rt, options):
+    verdicts = rt.primes[ns.start - rt.base : ns.stop - rt.base]
+    # the sieve stays the other side
+    sieve = np.frombuffer(rt.table.is_prime_bytes, np.bool_)
+    ok = verdicts == sieve[ns.start : ns.stop]
+    names = ("Composite", "Prime")
+    return _ints(ok), [names[v] for v in verdicts.tolist()], ok
+
+
+def _rows_bertrand(ns, rt, options):
+    n = np.arange(ns.start, ns.stop)
+    # the primes p with ns.start < p < 2 max(ns) - 2, every one a row can read
+    primes = np.flatnonzero(rt.primes[ns.start + 1 : 2 * ns[-1] - 2]) + ns.start + 1
+    after = np.searchsorted(primes, n, side="right")  # the first prime above n
+    below = np.searchsorted(primes, 2 * n - 2)  # the primes below 2n - 2
+    found = after < below
+    x = np.zeros_like(n)
+    x[found] = primes[after[found]] - n[found]
+    cells = _cells(x.tolist(), found)
     if options.first_witness_only:
-        found = w is not None
-        return (1 if found else 0), (w.x if found else None), found
-    count = bertrand.bertrand_count(n, rt.table)
-    # the identity count_identity_check states, without counting twice
-    ok = count >= 1 and count == rt.pi.prime_pi(2 * n - 2) - rt.pi.prime_pi(n)
-    return count, (w.x if w else None), ok
+        return _ints(found), cells, found
+    count = below - after
+    # the identity count_identity_check states, against PrimePi's running sums
+    cumulative = rt.pi.cumulative
+    ok = (count >= 1) & (count == cumulative[2 * n - 2] - cumulative[n])
+    return count.tolist(), cells, ok
 
 
-def _counted_row(n, fw, rt, options):
-    """Row of a task whose count is rt.counts[n] outside first-witness mode."""
-    found = fw is not None
-    count = int(found) if options.first_witness_only else int(rt.counts[n])
-    return count, fw, found and count >= 1
+def _count_rows(ns, cells, found, rt, options):
+    """Rows of a task whose count is rt.counts[n] outside first-witness mode."""
+    if options.first_witness_only:
+        return _ints(found), cells, found
+    counts = rt.counts[ns.start : ns.stop : ns.step]
+    return counts.tolist(), cells, found & (counts >= 1)
 
 
-def _row_binary(n, rt, options):
-    return _counted_row(n, goldbach._first_pair_y(2 * n, rt.primes), rt, options)
+def _rows_binary(ns, rt, options):
+    y = goldbach.first_pair_y_block(np.arange(ns.start, ns.stop), rt.primes)
+    found = y >= 0
+    return _count_rows(ns, _cells(y.tolist(), found), found, rt, options)
 
 
-def _row_ternary(n, rt, options):
-    w = goldbach.first_ternary_witness(n, rt.table)
-    return _counted_row(n, (w.x, w.y) if w else None, rt, options)
+def _q3_witnesses(ns, rt):
+    """The first witnesses with q = 3 of the odd n of ns, from the pair of
+    n - 3 about m = (n - 3) / 2; q = 3 gives the smallest x = m + 3."""
+    m0 = (ns.start - 3) // 2
+    y = goldbach.first_pair_y_block(np.arange(m0, m0 + len(ns)), rt.primes)
+    found = y >= 0
+    x = range(m0 + 3, m0 + 3 + len(ns))
+    return _cells(list(zip(x, y.tolist())), found), found
 
 
-def _row_peculiar(n, rt, options):
-    w = goldbach.first_peculiar_witness(n, rt.table)
-    return _counted_row(n, (w.x, w.y) if w else None, rt, options)
+def _rows_ternary(ns, rt, options):
+    cells, found = _q3_witnesses(ns, rt)
+    # an n with no q = 3 witness takes the scan over larger q
+    for i in np.flatnonzero(~found).tolist():
+        w = goldbach.first_ternary_witness(ns[i], rt.table)
+        if w is not None:
+            cells[i], found[i] = (w.x, w.y), True
+    return _count_rows(ns, cells, found, rt, options)
 
 
-def _row_proposition(n, rt, options):
-    # the check proposition_check makes, with the witness computed once
-    w = goldbach.first_peculiar_witness(n, rt.table)
-    ok = (w is not None) == goldbach.two_prime_sum_exists(n - 3, rt.table)
-    return (1 if ok else 0), ((w.x, w.y) if w else None), ok
+def _rows_peculiar(ns, rt, options):
+    return _count_rows(ns, *_q3_witnesses(ns, rt), rt, options)
+
+
+def _rows_proposition(ns, rt, options):
+    # the check proposition_check makes: a q = 3 witness exists iff n - 3 is
+    # a sum of two primes, the right side by rounds over the prime list
+    cells, found = _q3_witnesses(ns, rt)
+    totals = np.arange(ns.start, ns.stop, ns.step) - 3
+    ok = found == goldbach._two_prime_sums(totals, rt.table)
+    return _ints(ok), cells, ok
 
 
 # Oracles give the count a row should report, by trial division; certify
@@ -269,43 +333,48 @@ class _Task(NamedTuple):
     sieve: Callable[[int], int]  # hi -> the sieve limit its rows read
     first: int  # eligible n: first, first + step, ... up to hi
     step: int
-    row: Callable  # (n, rt, options) -> (count, first witness, ok)
+    rows: Callable  # (ns, rt, options) -> (counts, first witnesses, ok)
     oracle: Callable  # (n, rt) -> the count the row should report
     setup: Callable = lambda task, rt, ns, hi, options: rt  # adds the tables rows read
 
 
 _SPECS = {
-    "certify": _Task(lambda hi: hi, 2, 1, _row_certify, _oracle_certify, _with_block),
+    "certify": _Task(lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, _with_block),
     "bertrand": _Task(
-        lambda hi: 2 * hi - 2, 4, 1, _row_bertrand, _oracle_bertrand, _with_pi
+        lambda hi: 2 * hi - 2, 4, 1, _rows_bertrand, _oracle_bertrand, _with_pi
     ),
-    "binary": _Task(lambda hi: 2 * hi, 2, 1, _row_binary, _oracle_binary, _with_counts),
+    "binary": _Task(
+        lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _with_counts
+    ),
     # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
-        lambda hi: math.isqrt(2 * hi), 4, 1, _row_binary, _oracle_binary, _with_verdicts
+        lambda hi: math.isqrt(2 * hi),
+        4,
+        1,
+        _rows_binary,
+        _oracle_binary,
+        _with_verdicts,
     ),
-    "ternary": _Task(lambda hi: hi, 7, 2, _row_ternary, _oracle_ternary, _with_counts),
+    "ternary": _Task(
+        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _with_counts
+    ),
     "peculiar": _Task(
-        lambda hi: hi, 7, 2, _row_peculiar, _oracle_peculiar, _with_counts
+        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _with_counts
     ),
-    "proposition": _Task(lambda hi: hi, 7, 2, _row_proposition, _oracle_proposition),
+    "proposition": _Task(lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition),
 }
 
 
 def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
-    row_fn = spec.row
-    exists = options.first_witness_only  # rows count 1 when a witness exists
-    rows = []
-    failures = []
-    for n in ns:
-        count, fw, ok = row_fn(n, rt, options)
-        if ok and options.verify_against_oracle:
-            expected = spec.oracle(n, rt)
-            ok = (expected > 0) == (count > 0) if exists else expected == count
-        rows.append((n, count, fw))
-        if not ok:
-            failures.append(n)
-    return rows, failures
+    counts, witnesses, ok = spec.rows(ns, rt, options)
+    if options.verify_against_oracle:
+        exists = options.first_witness_only  # rows count 1 when a witness exists
+        for i in np.flatnonzero(ok).tolist():
+            expected = spec.oracle(ns[i], rt)
+            count = counts[i]
+            ok[i] = (expected > 0) == (count > 0) if exists else expected == count
+    failures = [ns[i] for i in np.flatnonzero(~ok).tolist()]
+    return list(zip(ns, counts, witnesses)), failures
 
 
 # the running sweep's state; forked workers inherit it read-only
@@ -373,7 +442,7 @@ def run_sweep(
         raise ValueError(f"table limit {table.limit} is below the required {need}")
     start = max(lo, spec.first)
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
-    rt = spec.setup(task, _Runtime(table.warm(), table.is_prime_bytes), ns, hi, options)
+    rt = spec.setup(task, _Runtime(table.warm(), table.is_prime_mask), ns, hi, options)
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phisystems import cli, goldbach
@@ -59,6 +60,27 @@ def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags
     assert call_main(["certify", "29", *flags]) == 2
     assert f"a single m takes no {flags[0]}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
+    # 10^10 + 19 takes the 9592 primes up to 10^5: the 400 KB spf table fits
+    # in 1 MiB, the checks at 512 bytes each do not, and none is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify ran past the budget")
+
+    monkeypatch.setattr(cli, "certify", refuse)
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "1M")
+    assert call_main(["certify", "10000000019", "--format", "csv"]) == 3
+    needed = 4 * (10**5 + 1) + 512 * 9592
+    assert capsys.readouterr().err == (
+        "error: the certificate of 10000000019 with 9592 congruence checks "
+        f"needs {needed} bytes, budget is {1 << 20}\n"
+    )
+    # within the budget the same certificate is written in full
+    args = ("certify", "10000000019", "--format", "csv")
+    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "8M"})
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 1 + 9592
 
 
 def test_single_certify_rejects_one():
@@ -202,9 +224,11 @@ def test_out_and_emit_counts(tmp_path):
 
 
 def test_conjecture_failure_exits_1_and_prints_n(monkeypatch, capfd):
-    # no real counterexample exists at desk scale; fake an empty witness
-    # search to exercise the failure path end to end
-    monkeypatch.setattr(goldbach, "_first_pair_y", lambda s, prime_bytes: None)
+    # no real counterexample exists at desk scale; fake a pair kernel that
+    # finds nothing to exercise the failure path end to end
+    monkeypatch.setattr(
+        goldbach, "first_pair_y_block", lambda m, mask: np.full(len(m), -1)
+    )
     code = call_main(
         ["binary", "--from", "2", "--to", "6", "--first-witness-only", "--format", "csv"]
     )

@@ -1,9 +1,11 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phisystems import goldbach
 from phisystems.certify import VerdictTable
 from phisystems.goldbach import (
     binary_count,
@@ -11,6 +13,7 @@ from phisystems.goldbach import (
     decomposition_to_xy,
     fermat_system_solutions,
     first_binary_witness,
+    first_pair_y_block,
     first_peculiar_witness,
     first_ternary_witness,
     peculiar_count,
@@ -295,3 +298,39 @@ class TestProposition:
         right = len(oracle_pairs(n - 3).pairs) > 0
         assert left == right  # the equivalence itself, oracle-side
         assert (first_peculiar_witness(n, table) is not None) == left
+
+
+def scalar_pair_ys(m, prime_bytes):
+    """_first_pair_y of the total 2m for each m, -1 where it finds nothing."""
+    ys = [goldbach._first_pair_y(2 * k, prime_bytes) for k in m]
+    return [-1 if y is None else y for y in ys]
+
+
+class TestPairBlock:
+    def test_matches_the_scalar_scan_on_the_sieve(self, table):
+        m = np.arange(2, PAIR_N_MAX + 1)
+        got = first_pair_y_block(m, table.is_prime_mask)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_pair_ys(m.tolist(), table.is_prime_bytes)
+
+    def test_matches_the_scalar_scan_on_verdicts(self, table):
+        vt = VerdictTable(table)
+        m = np.arange(2, 5001)
+        got = first_pair_y_block(m, vt.ensure(2 * 5000 - 3))
+        assert got.tolist() == scalar_pair_ys(m.tolist(), vt.verdict_bytes)
+
+    def test_any_order_and_misses(self, table):
+        # a block need not be sorted or distinct; with no prime above 100
+        # the larger m have no pair
+        sparse = table.is_prime_mask.copy()
+        sparse[101:] = False
+        m = [500, 2, 3, 4, 60, 7, 500, 5, 98, 99, 6]
+        got = first_pair_y_block(np.array(m), sparse).tolist()
+        assert got == scalar_pair_ys(m, sparse.tobytes())
+        assert got[:5] == [-1, 0, 0, 1, 1]  # 4 = 2 + 2, 6 = 3 + 3, 8 = 3 + 5, 59 + 61
+        assert first_pair_y_block(np.array([], dtype=np.int64), sparse).size == 0
+
+    def test_two_prime_sums_match_the_scalar_scan(self, table):
+        totals = range(0, 20_001)
+        got = goldbach._two_prime_sums(np.array(totals), table).tolist()
+        assert got == [two_prime_sum_exists(t, table) for t in totals]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from phisystems import sweep
+from phisystems import bertrand, goldbach, sweep
 from phisystems.arith import build_spf
 from phisystems.sweep import (
     CSV_HEADER,
@@ -191,6 +191,100 @@ def test_reports_match_per_n_functions(
         report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
         for fmt in ("json", "csv"):
             assert emit_report(report, fmt) == emit_report(expected, fmt)
+
+
+WIDE_RANGES = {
+    "certify": (2, 20_000),
+    "bertrand": (4, 25_000),
+    "binary": (2, 25_000),
+    # the reference certifies every value afresh for every n
+    "binary --via-fermat": (4, 300),
+    # the reference counts triples one n at a time
+    "ternary": (7, 1501),
+    "peculiar": (7, 25_001),
+    "proposition": (7, 25_001),
+}
+
+
+@pytest.mark.parametrize("first_witness_only", [False, True])
+@pytest.mark.parametrize("route", WIDE_RANGES)
+def test_block_rows_match_per_n_functions_wide(
+    table, reference_rows, usable_cpus, route, first_witness_only
+):
+    usable_cpus(2)
+    task = route.split()[0]
+    lo, hi = WIDE_RANGES[route]
+    options = SweepOptions(
+        first_witness_only=first_witness_only, via_fermat=route != task
+    )
+    expected = reference_rows(task, lo, hi, options)
+    for threads in (1, 2):
+        report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
+        assert list(report.per_n) == expected
+        assert report.failures == ()
+
+
+def test_block_rows_skip_per_n_scans(table, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-n scan called in a sweep")
+
+    for name in (
+        "_first_pair_y",
+        "first_binary_witness",
+        "first_peculiar_witness",
+        "two_prime_sum_exists",
+    ):
+        monkeypatch.setattr(goldbach, name, refuse)
+    monkeypatch.setattr(bertrand, "first_bertrand_witness", refuse)
+    monkeypatch.setattr(bertrand, "bertrand_count", refuse)
+    for route in [*TASKS, "binary --via-fermat"]:
+        task = route.split()[0]
+        lo, hi = (2, 2000) if task == "binary" else SMALL_RANGES[task]
+        for first_witness_only in (False, True):
+            options = SweepOptions(
+                first_witness_only=first_witness_only, via_fermat=route != task
+            )
+            report = run_sweep(task, lo, hi, options, table=table)
+            assert report.failures == ()
+            for n, count, fw in report.per_n:
+                assert type(n) is int and type(count) is int
+                if type(fw) is tuple:
+                    assert [type(v) for v in fw] == [int, int]
+                else:
+                    assert type(fw) in (int, str)
+
+
+def test_pair_kernel_misses_take_the_fallback_or_fail(
+    table, reference_rows, monkeypatch
+):
+    # the pair kernel reads a mask with no prime above 200, so most n - 3
+    # above 400 have no q = 3 pair in it
+    sparse = table.is_prime_mask.copy()
+    sparse[201:] = False
+    honest = goldbach.first_pair_y_block
+    monkeypatch.setattr(
+        goldbach, "first_pair_y_block", lambda m, mask: honest(m, sparse)
+    )
+    lo, hi = 7, 1501
+    missed = tuple(
+        n
+        for n in range(lo, hi + 1, 2)
+        if goldbach._first_pair_y(n - 3, sparse.tobytes()) is None
+    )
+    assert 0 < len(missed) < len(range(lo, hi + 1, 2))
+    for first_witness_only in (False, True):
+        options = SweepOptions(first_witness_only=first_witness_only)
+        # ternary takes the scan over larger q, which reads the sieve
+        ternary = run_sweep("ternary", lo, hi, options, table=table)
+        assert list(ternary.per_n) == reference_rows("ternary", lo, hi, options)
+        assert ternary.failures == ()
+        # peculiar has no other q, and proposition's other side reads the sieve
+        peculiar = run_sweep("peculiar", lo, hi, options, table=table)
+        assert peculiar.failures == missed
+        proposition = run_sweep("proposition", lo, hi, options, table=table)
+        assert proposition.failures == missed
+        rows = {n: (count, fw) for n, count, fw in proposition.per_n}
+        assert all(rows[n] == (0, None) for n in missed)
 
 
 def test_worker_count_capped_at_usable_cpus(usable_cpus, monkeypatch):
