@@ -3,10 +3,11 @@
 A smallest-prime-factor array over [2, limit] is the factorization
 backbone: the prime-power valuation nu_p, the count nu of prime divisors
 with multiplicity, Euler's totient phi, primality, and the prime-counting
-function pi all read off it. Primality is derived once, as one byte per
-value; the numpy mask is a read-only view of those bytes. Above the limit,
-factorize is one exact trial division: the table's primes, then each odd
-d past the limit, until d * d exceeds the unfactored part.
+function pi all read off it. Primality comes out of the sieve pass
+itself, as one byte per value: the cells the sieve never writes. The numpy
+mask is a read-only view of those bytes. Above the limit, factorize is one
+exact trial division: the table's primes, then each odd d past the limit,
+until d * d exceeds the unfactored part.
 
 ``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
 sieve, the FFT count convolution and the certification blocks all call.
@@ -17,7 +18,7 @@ or forked worker processes.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,7 +58,10 @@ class SpfTable:
     """Smallest-prime-factor table over [2, limit].
 
     ``spf[a]`` is the least prime dividing ``a``, so ``spf[a] == a``
-    exactly when ``a`` is prime. The primality bytes, their mask view,
+    exactly when ``a`` is prime. ``is_prime_bytes`` holds one byte per
+    value in [0, limit], 1 exactly at the primes, set by the sieve pass:
+    the table's only primality buffer. Pure-Python scan loops index it,
+    which is markedly faster than numpy scalar indexing. The mask view,
     the prime list and the nu table are cached lazily on first use; call
     :meth:`warm` before forking workers that will share the primality
     mask.
@@ -65,15 +69,7 @@ class SpfTable:
 
     limit: int
     spf: np.ndarray
-
-    @cached_property
-    def is_prime_bytes(self) -> bytes:
-        """One byte per value in [0, limit], 1 exactly at the primes: the
-        table's only primality buffer. Pure-Python scan loops index it,
-        which is markedly faster than numpy scalar indexing."""
-        mask = self.spf == np.arange(self.limit + 1, dtype=_SPF_DTYPE)
-        mask[:2] = False
-        return mask.tobytes()
+    is_prime_bytes: bytes = field(repr=False)
 
     @cached_property
     def is_prime_mask(self) -> np.ndarray:
@@ -96,9 +92,9 @@ class SpfTable:
         return nu
 
     def warm(self) -> "SpfTable":
-        """Materialize the primality bytes and mask, which every sweep reads,
-        so that forked workers inherit them; the prime list is built on
-        first use."""
+        """Materialize the mask view of the primality bytes, which every
+        sweep reads, so that forked workers inherit it; the prime list is
+        built on first use."""
         self.is_prime_mask
         return self
 
@@ -186,11 +182,13 @@ def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTabl
         raise MemoryBudgetError(f"limit {limit} exceeds the 32-bit spf cell range")
     _check_budget(4 * (limit + 1), f"spf table over [2, {limit}]", memory_budget)
     spf = np.zeros(limit + 1, dtype=_SPF_DTYPE)
+    # the loop writes only composites, so the cells left at 0 are the primes
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
-            spf[p] = p
             tail = spf[p * p :: p]
             tail[tail == 0] = p
-    untouched = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[untouched] = untouched
-    return SpfTable(limit=limit, spf=spf)
+    prime = spf == 0
+    prime[:2] = False
+    primes = np.flatnonzero(prime)
+    spf[primes] = primes
+    return SpfTable(limit=limit, spf=spf, is_prime_bytes=prime.tobytes())

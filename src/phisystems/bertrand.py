@@ -1,9 +1,9 @@
 """Primes strictly between n and 2n - 2, as totient-equation solutions.
 
 A solution x of phi(n + x) + 1 = n + x with 0 < x < n - 2 is exactly a
-prime n + x in the open interval (n, 2n - 2). Enumeration scans x with
-sieve lookups; the ``verify`` flag re-derives each witness through the
-Fermat congruence system. The solution count equals pi(2n-2) - pi(n).
+prime n + x in the open interval (n, 2n - 2). Enumeration reads the
+sieve's primality mask over that interval. The solution count equals
+pi(2n-2) - pi(n).
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import PrimePi, SpfTable
-from .certify import Verdict, certify
 
 __all__ = [
     "BertrandWitness",
@@ -38,23 +37,14 @@ def _validate(n: int, table: SpfTable) -> None:
         )
 
 
-def bertrand_solutions(
-    n: int, table: SpfTable, *, verify: bool = False
-) -> list[BertrandWitness]:
+def bertrand_solutions(n: int, table: SpfTable) -> list[BertrandWitness]:
     """All x in (0, n-2) with n + x prime, ascending. Never empty for n > 3."""
     _validate(n, table)
     seg = table.is_prime_mask[n + 1 : 2 * n - 2]
-    out = [
+    return [
         BertrandWitness(n=n, x=x, prime=n + x)
         for x in (np.nonzero(seg)[0] + 1).tolist()
     ]
-    if verify:
-        for w in out:
-            if certify(w.prime, table).verdict is not Verdict.PRIME:
-                raise RuntimeError(
-                    f"congruence system rejects {w.prime} that the sieve accepts"
-                )
-    return out
 
 
 def bertrand_count(n: int, table: SpfTable) -> int:

@@ -12,6 +12,7 @@ PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
 import argparse
 import dataclasses
 import decimal
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import numpy as np
 from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, _check_budget, build_spf
 from .certify import certify
 from .sweep import TASKS, FORMATS, SweepOptions, emit_counts, emit_report, run_sweep
+from .sweep import _text_bytes
 
 __all__ = ["main"]
 
@@ -131,6 +133,20 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
+def _certificate_table(cert):
+    yield f"subject: {cert.subject}"
+    yield f"verdict: {cert.verdict.value}"
+    root = math.isqrt(cert.subject)
+    yield f"congruences over primes p <= isqrt({cert.subject}) = {root}:"
+    if not cert.checks:
+        yield "  (empty system)"
+    for c in cert.checks:
+        mark = "" if c.residue == 1 else "   <- fails"
+        yield f"  {c.base}^{c.exponent} mod {c.modulus} = {c.residue}{mark}"
+    if cert.failing_modulus is not None:
+        yield f"failing modulus: {cert.failing_modulus}"
+
+
 def _certificate_bytes(cert, fmt: str) -> bytes:
     if fmt == "json":
         obj = {
@@ -141,31 +157,15 @@ def _certificate_bytes(cert, fmt: str) -> bytes:
         }
         return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
     if fmt == "csv":
-        lines = ["modulus,base,exponent,residue"]
-        lines.extend(
-            f"{c.modulus},{c.base},{c.exponent},{c.residue}" for c in cert.checks
-        )
-        return ("\n".join(lines) + "\n").encode()
-    root = math.isqrt(cert.subject)
-    lines = [
-        f"subject: {cert.subject}",
-        f"verdict: {cert.verdict.value}",
-        f"congruences over primes p <= isqrt({cert.subject}) = {root}:",
-    ]
-    if not cert.checks:
-        lines.append("  (empty system)")
-    for c in cert.checks:
-        mark = "" if c.residue == 1 else "   <- fails"
-        lines.append(f"  {c.base}^{c.exponent} mod {c.modulus} = {c.residue}{mark}")
-    if cert.failing_modulus is not None:
-        lines.append(f"failing modulus: {cert.failing_modulus}")
-    return ("\n".join(lines) + "\n").encode()
+        rows = (f"{c.modulus},{c.base},{c.exponent},{c.residue}" for c in cert.checks)
+        return _text_bytes(itertools.chain(["modulus,base,exponent,residue"], rows))
+    return _text_bytes(_certificate_table(cert))
 
 
 # The most one congruence check of a single certificate holds while it is
 # rendered: the check, its prime-list entry and its share of the output.
-# tracemalloc puts it at 490-500 bytes in JSON (a dict per check), 300-320
-# in CSV and 330-340 in the table, for m = 10^12 and 10^14 (78498 and
+# tracemalloc puts it at 480-490 bytes in JSON (a dict per check), 200-210
+# in CSV and 220-230 in the table, for m = 10^12 and 10^14 (78498 and
 # 664579 checks).
 _CHECK_BYTES = 512
 

@@ -26,13 +26,14 @@ time lives on the report object and in the human table format.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -112,14 +113,38 @@ def _fw_to_csv(fw: FirstWitness) -> str:
     return str(fw)
 
 
-def _text_bytes(lines: list[str]) -> bytes:
-    """The lines, each ended by a newline, as bytes. The list is emptied
-    once joined, so that its strings, the text and the bytes are never all
-    held at once."""
-    lines.append("")
-    text = "\n".join(lines)
-    lines.clear()
-    return text.encode()
+_TEXT_SLICE = 1 << 14  # lines joined and encoded at a time
+
+
+def _text_bytes(lines: Iterable[str]) -> bytes:
+    """The lines, each ended by a newline, as bytes: the one writer of every
+    text report and certificate. The lines are joined and encoded a fixed
+    slice at a time, so a renderer holds the bytes and one slice of text,
+    never a list of every line besides them."""
+    lines = iter(lines)
+    parts = []
+    while piece := list(itertools.islice(lines, _TEXT_SLICE)):
+        piece.append("")
+        parts.append("\n".join(piece).encode())
+    return b"".join(parts)
+
+
+def _table_lines(report: RangeReport) -> Iterator[str]:
+    yield (
+        f"task: {report.task}   range: [{report.lo}, {report.hi}]   "
+        f"checked: {report.checked}   failures: {len(report.failures)}   "
+        f"elapsed: {report.elapsed:.3f}s"
+    )
+    if report.per_n:
+        wn = max(len(str(n)) for n, _, _ in report.per_n)
+        wc = max(len("witnesses"), max(len(str(c)) for _, c, _ in report.per_n))
+        yield f"{'n':>{wn}}  {'witnesses':>{wc}}  first"
+        for n, c, fw in report.per_n:
+            yield f"{n:>{wn}}  {c:>{wc}}  {_fw_to_csv(fw)}"
+    if report.failures:
+        shown = ", ".join(str(n) for n in report.failures[:50])
+        more = "" if len(report.failures) <= 50 else ", ..."
+        yield f"failures: {shown}{more}"
 
 
 def emit_report(report: RangeReport, fmt: str) -> bytes:
@@ -140,35 +165,17 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
         }
         return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in report.per_n)
-        return _text_bytes(lines)
+        rows = (f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in report.per_n)
+        return _text_bytes(itertools.chain([CSV_HEADER], rows))
     if fmt == "table":
-        head = (
-            f"task: {report.task}   range: [{report.lo}, {report.hi}]   "
-            f"checked: {report.checked}   failures: {len(report.failures)}   "
-            f"elapsed: {report.elapsed:.3f}s"
-        )
-        lines = [head]
-        if report.per_n:
-            cells = [(str(n), str(c), _fw_to_csv(fw)) for n, c, fw in report.per_n]
-            wn = max(1, max(len(a) for a, _, _ in cells))
-            wc = max(len("witnesses"), max(len(b) for _, b, _ in cells))
-            lines.append(f"{'n':>{wn}}  {'witnesses':>{wc}}  first")
-            lines.extend(f"{a:>{wn}}  {b:>{wc}}  {c}" for a, b, c in cells)
-        if report.failures:
-            shown = ", ".join(str(n) for n in report.failures[:50])
-            more = "" if len(report.failures) <= 50 else ", ..."
-            lines.append(f"failures: {shown}{more}")
-        return _text_bytes(lines)
+        return _text_bytes(_table_lines(report))
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def emit_counts(report: RangeReport) -> bytes:
     """(n, witness_count) rows as CSV, for external plotting."""
-    lines = ["n,witness_count"]
-    lines.extend(f"{n},{c}" for n, c, _ in report.per_n)
-    return _text_bytes(lines)
+    rows = (f"{n},{c}" for n, c, _ in report.per_n)
+    return _text_bytes(itertools.chain(["n,witness_count"], rows))
 
 
 class _Runtime(NamedTuple):

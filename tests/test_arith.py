@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ class TestBuildSpf:
         expected[:2] = False
         assert (mask == expected).all()
         assert t.prime_list == np.flatnonzero(mask).tolist()
+        for limit in (2, 3, 4, 9, 5000):
+            t = build_spf(limit)
+            for a in range(2, limit + 1):
+                assert t.is_prime_bytes[a] == (t.spf[a] == a)
+
+    def test_warm_peak_per_value(self):
+        # the primality bytes come out of the sieve pass, with no temporary
+        # as large as the spf table on the way
+        limit = 2_000_000
+        tracemalloc.start()
+        try:
+            build_spf(limit).warm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * (limit + 1), peak / (limit + 1)
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,6 @@ def test_first_witness_matches(table, n):
     assert first == bertrand_solutions(n, table)[0]
 
 
-def test_verify_flag_runs_congruence_route(table):
-    ws = bertrand_solutions(1000, table, verify=True)
+def test_witnesses_certify_as_prime(table):
+    ws = bertrand_solutions(1000, table)
     assert all(certify(w.prime, table).verdict is Verdict.PRIME for w in ws)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +42,35 @@ def test_single_certify_composite_json():
     assert obj["verdict"] == "Composite"
     assert obj["failing_modulus"] == 5
     assert obj["checks"][-1] == {"modulus": 5, "base": 25, "exponent": 4, "residue": 0}
+
+
+CERTIFICATE_BYTES = {
+    # a composite with two failing moduli
+    ("45", "csv"): "modulus,base,exponent,residue\n2,45,1,1\n3,45,2,0\n5,45,4,0\n",
+    ("45", "table"): (
+        "subject: 45\n"
+        "verdict: Composite\n"
+        "congruences over primes p <= isqrt(45) = 6:\n"
+        "  45^1 mod 2 = 1\n"
+        "  45^2 mod 3 = 0   <- fails\n"
+        "  45^4 mod 5 = 0   <- fails\n"
+        "failing modulus: 3\n"
+    ),
+    # an empty system
+    ("2", "csv"): "modulus,base,exponent,residue\n",
+    ("2", "table"): (
+        "subject: 2\n"
+        "verdict: Prime\n"
+        "congruences over primes p <= isqrt(2) = 1:\n"
+        "  (empty system)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("m,fmt", CERTIFICATE_BYTES)
+def test_single_certificate_bytes(capsysbinary, m, fmt):
+    assert call_main(["certify", m, "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == CERTIFICATE_BYTES[m, fmt].encode()
 
 
 @pytest.mark.parametrize(
@@ -246,12 +274,3 @@ def test_via_fermat_flag_matches_default():
 def test_verify_against_oracle_flag():
     proc = run_cli("bertrand", "--from", "4", "--to", "30", "--verify-against-oracle")
     assert proc.returncode == 0
-
-
-def test_scripts_run():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    cmd = [sys.executable, str(root / "scripts" / "desk_verification.py"), "--scale", "0.001"]
-    desk = subprocess.run(cmd, capture_output=True, env=env)
-    assert desk.returncode == 0, desk.stderr.decode()
-    assert b"9/9 checks passed" in desk.stdout

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -75,6 +76,138 @@ def test_counts_identical_across_formats(table):
     ]
     json_counts = [c for _, c, _ in json.loads(emit_report(report, "json"))["per_n"]]
     assert csv_counts == json_counts == [c for _, c, _ in report.per_n]
+
+
+BINARY_2_40_TABLE = """\
+task: binary   range: [2, 40]   checked: 39   failures: 0   elapsed: 0.000s
+ n  witnesses  first
+ 2          1  0
+ 3          1  0
+ 4          1  1
+ 5          2  0
+ 6          1  1
+ 7          2  0
+ 8          2  3
+ 9          2  2
+10          2  3
+11          3  0
+12          3  1
+13          3  0
+14          2  3
+15          3  2
+16          2  3
+17          4  0
+18          4  1
+19          2  0
+20          3  3
+21          4  2
+22          3  9
+23          4  0
+24          5  5
+25          4  6
+26          3  3
+27          5  4
+28          3  9
+29          4  0
+30          6  1
+31          3  0
+32          5  9
+33          6  4
+34          2  3
+35          5  6
+36          6  5
+37          5  0
+38          5  9
+39          7  2
+40          4  3
+"""
+TERNARY_7_21_TABLE = """\
+task: ternary   range: [7, 21]   checked: 8   failures: 0   elapsed: 0.000s
+ n  witnesses  first
+ 7          1  5:0
+ 9          2  6:0
+11          3  7:1
+13          4  8:0
+15          5  9:1
+17          7  10:0
+19          7  11:3
+21         10  12:2
+"""
+CERTIFY_2_12_TABLE = """\
+task: certify   range: [2, 12]   checked: 11   failures: 0   elapsed: 0.000s
+ n  witnesses  first
+ 2          1  Prime
+ 3          1  Prime
+ 4          1  Composite
+ 5          1  Prime
+ 6          1  Composite
+ 7          1  Prime
+ 8          1  Composite
+ 9          1  Composite
+10          1  Composite
+11          1  Prime
+12          1  Composite
+"""
+
+
+@pytest.mark.parametrize(
+    "task,lo,hi,expected",
+    [
+        ("binary", 2, 40, BINARY_2_40_TABLE),
+        ("ternary", 7, 21, TERNARY_7_21_TABLE),
+        ("certify", 2, 12, CERTIFY_2_12_TABLE),
+    ],
+)
+def test_table_bytes(table, task, lo, hi, expected):
+    report = replace(run_sweep(task, lo, hi, table=table), elapsed=0.0)
+    assert emit_report(report, "table") == expected.encode()
+
+
+def test_table_bytes_without_rows_and_with_many_failures():
+    empty = RangeReport("binary", 10, 9, per_n=(), failures=(), config={})
+    assert emit_report(empty, "table") == (
+        b"task: binary   range: [10, 9]   checked: 0   failures: 0   elapsed: 0.000s\n"
+    )
+    # past fifty failures the list ends in ", ..."
+    failed = RangeReport(
+        "peculiar", 7, 200, per_n=(), failures=tuple(range(7, 200, 2)), config={}
+    )
+    shown = ", ".join(str(n) for n in range(7, 106, 2))
+    assert emit_report(failed, "table") == (
+        "task: peculiar   range: [7, 200]   checked: 0   failures: 97   "
+        f"elapsed: 0.000s\nfailures: {shown}, ...\n"
+    ).encode()
+
+
+SLICE = sweep._TEXT_SLICE
+
+
+@pytest.mark.parametrize("count", [0, 1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
+def test_text_bytes_across_slices(count):
+    lines = [f"line {i}" for i in range(count)]
+    expected = "".join(f"{line}\n" for line in lines).encode()
+    assert sweep._text_bytes(iter(lines)) == expected
+
+
+def test_text_renderers_peak_near_their_output():
+    # a renderer holds its output and at most about as much again, never a
+    # list of every line besides the text
+    report = run_sweep("binary", 2, 200_001, SweepOptions(first_witness_only=True))
+    renderers = {
+        "csv": lambda: emit_report(report, "csv"),
+        "table": lambda: emit_report(report, "table"),
+        "counts": lambda: emit_counts(report),
+    }
+    ratios = {}
+    for name, render in renderers.items():
+        tracemalloc.start()
+        try:
+            data = render()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratios[name] = peak / len(data)
+    assert max(ratios.values()) <= 3, ratios
 
 
 def test_emit_counts(table):
