@@ -157,6 +157,9 @@ class SpfTable:
         return self.factorize(a) == [(a, 1)]
 
 
+_PI_BLOCK = 1 << 16  # values summed at a time by PrimePi.from_spf
+
+
 @dataclass(eq=False)
 class PrimePi:
     """Cumulative prime counts: ``cumulative[x]`` is the number of primes <= x."""
@@ -166,7 +169,18 @@ class PrimePi:
 
     @classmethod
     def from_spf(cls, table: SpfTable) -> "PrimePi":
-        return cls(table.limit, np.cumsum(table.is_prime_mask, dtype=np.uint32))
+        """A running sum of the primality mask, one block at a time, so that
+        the cast of the mask to uint32 is held for one block, never beside
+        the whole result."""
+        mask = table.is_prime_mask
+        cumulative = np.empty(len(mask), dtype=np.uint32)
+        carry = 0
+        for start in range(0, len(mask), _PI_BLOCK):
+            block = cumulative[start : start + _PI_BLOCK]
+            np.cumsum(mask[start : start + _PI_BLOCK], dtype=np.uint32, out=block)
+            block += carry
+            carry = int(block[-1])
+        return cls(table.limit, cumulative)
 
     def prime_pi(self, x: int) -> int:
         if x < 0 or x > self.limit:

@@ -22,11 +22,12 @@ tested against. A float convolution is accepted only when every value lies
 within 0.25 of an integer and the rounded values sum to the product of the
 input sums, an exact integer identity; otherwise it raises, with no fallback.
 
-``first_pair_y_block`` gives the first pair witness of every total of a
-block at once, in rounds over y that drop each total once it is resolved;
-the minimal offset stays small, so the rounds are few. Sweeps read their
-pair and triple first witnesses from it, and the scalar scans
-(``first_binary_witness``, ``first_peculiar_witness``,
+``first_pair_y_block`` gives the first pair witness of every total 2m of a
+block at once: each m walks the primes r >= m of its mask upward and
+tests whether 2m - r is prime, so the minimal offset y = r - m takes
+about y / ln m probes, and the rounds drop each m once it is resolved.
+Sweeps read their pair and triple first witnesses from it, and the scalar
+scans (``first_binary_witness``, ``first_peculiar_witness``,
 ``two_prime_sum_exists``) stay the reference it is tested against.
 """
 
@@ -209,39 +210,44 @@ def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The smallest y >= 0 with m - y and m + y both prime, for every m >= 2
     of an array, or -1 where there is none, as int64.
 
-    The block form of the scan behind the first witnesses: each round tries
-    one y, in the viable parity class, for every m still open, and closes
-    an m once it has its pair or once y > m - 3. mask is any primality mask
+    The block form of the scan behind the first witnesses: each m walks the
+    primes r >= m upward and tests whether 2m - r is prime too, so y = r - m
+    and an m takes about y / ln m probes. Each round takes one step for
+    every m still open, and closes an m once it has its pair, once
+    2m - r < 3 or once it runs out of primes. mask is any primality mask
     reaching 2 max(m) - 3: the sieve's is_prime_mask, a VerdictTable's
-    verdicts or a certify block.
+    verdicts or a certify block; the walked primes are its own.
     """
     m = np.asarray(m, dtype=np.int64)
     out = np.full(m.shape, -1, dtype=np.int64)
     out[m == 2] = 0  # 4 = 2 + 2
     at = np.flatnonzero(m > 2)
-    # lo = m - y and hi = m + y from the first y that makes both odd, as in
-    # _first_pair_y; they step in place while m is open, so y = (hi - lo) / 2
-    lo = m[at] - 1
-    lo |= 1
-    hi = 2 * m[at] - lo
+    if not at.size:
+        return out
+    m = m[at]
+    first, top = int(m.min()), 2 * int(m.max()) - 2
+    # the primes an m can reach, m <= r <= 2m - 3, then top: 2m - top < 3
+    # for every m, so a walk that runs out of primes closes there
+    primes = np.append(np.flatnonzero(mask[first:top]) + first, top)
+    k = np.searchsorted(primes, m)  # the index of the first prime r >= m
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
     while True:
+        r = primes.take(k)
+        lo = 2 * m - r
         open_ &= lo >= 3  # y <= m - 3
         left = np.count_nonzero(open_)
         if 2 * left <= open_.size:  # also when no m is left open
-            out[at[found]] = (hi[found] - lo[found]) // 2
+            out[at[found]] = r[found] - m[found]
             if not left:
                 return out
-            at, lo, hi, open_, found = _compact(open_, at, lo, hi, open_, found)
+            at, m, k, lo, open_, found = _compact(open_, at, m, k, lo, open_, found)
         # a closed m may point outside the mask; its lookup is discarded
         hit = mask.take(lo, mode="clip")
-        hit &= mask.take(hi, mode="clip")
         hit &= open_
         found |= hit
         open_ &= ~hit
-        np.subtract(lo, 2, out=lo, where=open_)
-        np.add(hi, 2, out=hi, where=open_)
+        np.add(k, 1, out=k, where=open_)
 
 
 def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -445,16 +451,17 @@ def two_prime_sum_exists(total: int, table: SpfTable) -> bool:
 
 def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
     """two_prime_sum_exists for every total of an array, by rounds over the
-    prime list: round p tests whether total - p is prime for every total
-    still open with p <= total / 2, smallest p first."""
+    primes up to max(totals) / 2: round p tests whether total - p is prime
+    for every total still open with p <= total / 2, smallest p first."""
     out = np.zeros(len(totals), dtype=np.bool_)
     at = np.arange(len(totals))
     rest = np.array(totals, dtype=np.int64)  # total - p, stepped in place
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
     mask = table.is_prime_mask
+    primes = np.flatnonzero(mask[: int(np.max(rest, initial=0)) // 2 + 1])
     prev = 0
-    for p in table.prime_list:
+    for p in primes.tolist():
         rest -= p - prev
         prev = p
         open_ &= rest >= p
@@ -468,6 +475,7 @@ def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
         hit &= open_
         found |= hit
         open_ &= ~hit
+    out[at[found]] = True  # found since the last compaction, past the last p
     return out
 
 

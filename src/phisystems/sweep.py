@@ -11,10 +11,12 @@ over that mask.
 A task's rows take a whole chunk of n at once and come from array passes
 over it: the first pair witnesses from ``goldbach.first_pair_y_block``
 (at m = n for pairs, at m = (n - 3) / 2 for triples, whose first middle
-prime is 3), bertrand's next prime and prime count from ``searchsorted``
-on the chunk's primes, and the certify rows from comparing the block with
-the sieve. Only a ternary n without a q = 3 witness, and the oracle check
-of --verify-against-oracle, are handled one n at a time. The cells stay
+prime is 3), which walks each m over the mask's primes r >= m until
+2m - r is prime too, about y / ln m probes for an offset y; bertrand's
+next prime and prime count from ``searchsorted`` on the chunk's primes;
+and the certify rows from comparing the block with the sieve. Only a
+ternary n without a q = 3 witness, and the oracle check of
+--verify-against-oracle, are handled one n at a time. The cells stay
 Python ints, tuples of them, and verdict strings.
 
 A sweep cuts the eligible n into sixteen contiguous chunks per worker,
@@ -300,7 +302,7 @@ def _rows_peculiar(ns, rt, options):
 
 def _rows_proposition(ns, rt, options):
     # the check proposition_check makes: a q = 3 witness exists iff n - 3 is
-    # a sum of two primes, the right side by rounds over the prime list
+    # a sum of two primes, the right side by rounds over the mask's primes
     cells, found = _q3_witnesses(ns, rt)
     totals = np.arange(ns.start, ns.stop, ns.step) - 3
     ok = found == goldbach._two_prime_sums(totals, rt.table)

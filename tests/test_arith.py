@@ -196,3 +196,24 @@ class TestPrimePi:
         assert pi.prime_pi(1) == 0
         diffs = pi.cumulative[1:].astype(int) - pi.cumulative[:-1].astype(int)
         assert diffs.min() >= 0
+
+    def test_blockwise_sums_across_block_edges(self):
+        # the running sum goes 2^16 values at a time, carrying the count over
+        for limit in (2, 2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7):
+            t = build_spf(limit)
+            got = PrimePi.from_spf(t).cumulative
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, np.cumsum(t.is_prime_mask, dtype=np.uint32))
+
+    def test_from_spf_holds_only_its_result(self):
+        # np.cumsum over the whole mask peaks at 8 bytes per value: the
+        # uint32 result and a uint32 cast of the mask beside it
+        limit = 2_000_000
+        t = build_spf(limit).warm()
+        tracemalloc.start()
+        try:
+            PrimePi.from_spf(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * (limit + 1), peak / (limit + 1)

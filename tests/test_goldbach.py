@@ -330,6 +330,39 @@ class TestPairBlock:
         assert got[:5] == [-1, 0, 0, 1, 1]  # 4 = 2 + 2, 6 = 3 + 3, 8 = 3 + 5, 59 + 61
         assert first_pair_y_block(np.array([], dtype=np.int64), sparse).size == 0
 
+    def test_no_pair_below_three(self, table):
+        # the walk closes an m once 2m - r < 3, whatever mask[0:3] holds; with
+        # no prime below 200 the small m walk up to r past 2m - 3 unpaired
+        sparse = table.is_prime_mask.copy()
+        sparse[:200] = False
+        m = np.arange(2, 400)
+        want = first_pair_y_block(m, sparse)
+        assert (want[(m > 2) & (m < 100)] == -1).all()
+        sparse[0:3] = True
+        got = first_pair_y_block(m, sparse)
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == scalar_pair_ys(m.tolist(), sparse.tobytes())
+
+    def test_no_prime_at_all(self):
+        m = np.array([2, 3, 4, 5, 100, 2, 1000])
+        got = first_pair_y_block(m, np.zeros(2000, dtype=np.bool_))
+        assert got.tolist() == [0, -1, -1, -1, -1, 0, -1]
+
+    def test_mask_cut_at_the_last_value_read(self, table):
+        # the largest m reads primality through 2 max(m) - 3, and no further
+        for top in (3, 4, 5, 6, 1000, 1001, 4999):
+            m = np.arange(2, top + 1)
+            full = first_pair_y_block(m, table.is_prime_mask)
+            cut = first_pair_y_block(m, table.is_prime_mask[: 2 * top - 2])
+            assert cut.tolist() == full.tolist()
+
+    def test_two_prime_sums_one_total_at_a_time(self, table):
+        # a total alone is still open after its last prime p <= total / 2
+        for t in range(0, 300):
+            got = goldbach._two_prime_sums(np.array([t]), table).tolist()
+            assert got == [two_prime_sum_exists(t, table)]
+        assert goldbach._two_prime_sums(np.array([], dtype=np.int64), table).size == 0
+
     def test_two_prime_sums_match_the_scalar_scan(self, table):
         totals = range(0, 20_001)
         got = goldbach._two_prime_sums(np.array(totals), table).tolist()
