@@ -1,13 +1,12 @@
 """Sieve-backed arithmetic functions.
 
-A smallest-prime-factor array over [2, limit] is the factorization
-backbone: the prime-power valuation nu_p, the count nu of prime divisors
-with multiplicity, Euler's totient phi, primality, and the prime-counting
-function pi all read off it. Primality comes out of the sieve pass
-itself, as one byte per value: the cells the sieve never writes. The numpy
-mask is a read-only view of those bytes. Above the limit, factorize is one
-exact trial division: the table's primes, then each odd d past the limit,
-until d * d exceeds the unfactored part.
+A primality sieve over [2, limit] is the backbone, one byte per value,
+1 exactly at the primes; the numpy mask is a read-only view of those
+bytes. Primality, the prime-power valuation nu_p and the prime-counting
+function pi read it directly. The count nu of prime divisors with
+multiplicity and Euler's totient phi read one exact trial division,
+``factorize``: the table's primes, then each odd d past the limit, until
+d * d exceeds the unfactored part.
 
 ``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
 sieve, the FFT count convolution and the certification blocks all call.
@@ -31,9 +30,7 @@ __all__ = [
     "build_spf",
 ]
 
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes; spf cells are 4 bytes each
-
-_SPF_DTYPE = np.uint32
+DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
 
 class MemoryBudgetError(Exception):
@@ -48,6 +45,12 @@ def _check_budget(needed: int, what: str, memory_budget: int) -> None:
         )
 
 
+def _sieve_bytes(limit: int) -> int:
+    """What build_spf(limit) holds at its peak: the bool array it crosses
+    off and the bytes copied from it, one byte per value each."""
+    return 2 * (limit + 1)
+
+
 def _check_natural(a: int) -> None:
     if a < 1:
         raise ValueError(f"argument must be a natural number >= 1, got {a}")
@@ -55,20 +58,18 @@ def _check_natural(a: int) -> None:
 
 @dataclass(eq=False)
 class SpfTable:
-    """Smallest-prime-factor table over [2, limit].
+    """Primality table over [2, limit], the sieve that build_spf returns.
 
-    ``spf[a]`` is the least prime dividing ``a``, so ``spf[a] == a``
-    exactly when ``a`` is prime. ``is_prime_bytes`` holds one byte per
-    value in [0, limit], 1 exactly at the primes, set by the sieve pass:
-    the table's only primality buffer. Pure-Python scan loops index it,
-    which is markedly faster than numpy scalar indexing. The mask view,
-    the prime list and the nu table are cached lazily on first use; call
-    :meth:`warm` before forking workers that will share the primality
-    mask.
+    ``is_prime_bytes`` holds one byte per value in [0, limit], 1 exactly
+    at the primes: the table's only primality buffer. Despite the name it
+    keeps no smallest prime factors; :meth:`factorize` divides by the
+    primes. Pure-Python scan loops index the bytes, which is markedly
+    faster than numpy scalar indexing. The mask view, the prime list and
+    the nu table are cached lazily on first use; call :meth:`warm` before
+    forking workers that will share the primality mask.
     """
 
     limit: int
-    spf: np.ndarray
     is_prime_bytes: bytes = field(repr=False)
 
     @cached_property
@@ -99,19 +100,10 @@ class SpfTable:
         return self
 
     def factorize(self, a: int) -> list[tuple[int, int]]:
-        """Prime factorization as ascending (prime, exponent) pairs."""
+        """Prime factorization as ascending (prime, exponent) pairs, by trial
+        division: the table's primes, then each odd d past the limit."""
         _check_natural(a)
         out: list[tuple[int, int]] = []
-        if a <= self.limit:
-            spf = self.spf
-            while a > 1:
-                p = int(spf[a])
-                e = 0
-                while a % p == 0:
-                    a //= p
-                    e += 1
-                out.append((p, e))
-            return out
         odd_past_table = itertools.count((self.limit + 1) | 1, 2)
         for d in itertools.chain(self.prime_list, odd_past_table):
             if d * d > a:
@@ -189,20 +181,13 @@ class PrimePi:
 
 
 def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTable:
-    """Sieve the smallest prime factor of every value in [2, limit]."""
+    """Sieve the primes in [2, limit]."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit >= 2**32:
-        raise MemoryBudgetError(f"limit {limit} exceeds the 32-bit spf cell range")
-    _check_budget(4 * (limit + 1), f"spf table over [2, {limit}]", memory_budget)
-    spf = np.zeros(limit + 1, dtype=_SPF_DTYPE)
-    # the loop writes only composites, so the cells left at 0 are the primes
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            tail = spf[p * p :: p]
-            tail[tail == 0] = p
-    prime = spf == 0
+    _check_budget(_sieve_bytes(limit), f"prime sieve over [2, {limit}]", memory_budget)
+    prime = np.ones(limit + 1, dtype=np.bool_)
     prime[:2] = False
-    primes = np.flatnonzero(prime)
-    spf[primes] = primes
-    return SpfTable(limit=limit, spf=spf, is_prime_bytes=prime.tobytes())
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    return SpfTable(limit=limit, is_prime_bytes=prime.tobytes())

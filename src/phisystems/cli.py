@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, _check_budget, build_spf
+from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, build_spf
+from .arith import _check_budget, _sieve_bytes
 from .certify import certify
 from .sweep import TASKS, FORMATS, SweepOptions, emit_counts, emit_report, run_sweep
 from .sweep import _text_bytes
@@ -177,7 +178,7 @@ def _single_certificate(args, budget: int) -> bytes:
     # certify keeps one check per prime p <= isqrt(m), all held at once
     checks = int(np.count_nonzero(table.is_prime_mask[: math.isqrt(max(m, 0)) + 1]))
     _check_budget(
-        4 * (table.limit + 1) + _CHECK_BYTES * checks,
+        _sieve_bytes(table.limit) + _CHECK_BYTES * checks,
         f"the certificate of {m} with {checks} congruence checks",
         budget,
     )

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the sieve-backed engine:
 no shared tables, no modular exponentiation. Every primality decision is
 trial division by consecutive integers and every enumeration an
-exhaustive scan. Slow on purpose, so the pair and triple scans share one
-bound, ``ORACLE_LIMIT``, and refuse a larger total or n with ValueError.
+exhaustive scan. Slow on purpose, so the prime list and the pair and
+triple scans share one bound, ``ORACLE_LIMIT``, and refuse a larger
+limit, total or n with ValueError.
 Used by the test suite and by the CLI's --verify-against-oracle mode.
 
 The engine calls it in one place: ``certify.fermat_congruence_holds``
@@ -69,6 +70,8 @@ def trial_primes_upto(limit: int) -> list[int]:
     """Primes <= limit, each certified by oracle_is_prime."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if limit > ORACLE_LIMIT:
+        raise ValueError(f"limit {limit} exceeds the oracle limit {ORACLE_LIMIT}")
     _ensure_primes(limit)
     return _known_primes[: bisect_right(_known_primes, limit)]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phisystems.arith import MemoryBudgetError, PrimePi, build_spf
+from phisystems.arith import MemoryBudgetError, PrimePi, _sieve_bytes, build_spf
 
 from conftest import TABLE_LIMIT
 
@@ -48,16 +48,18 @@ def brute_phi(a):
 class TestBuildSpf:
     def test_examples(self):
         t = build_spf(10)
-        assert int(t.spf[9]) == 3
-        assert int(t.spf[7]) == 7
-        assert int(t.spf[10]) == 2
+        assert t.factorize(9) == [(3, 2)]
+        assert t.factorize(7) == [(7, 1)]
+        assert t.factorize(10) == [(2, 1), (5, 1)]
 
     def test_invariants_small(self):
         t = build_spf(5000)
+        smallest = [0, 1] + [brute_smallest_factor(a) for a in range(2, 5001)]
         for a in range(2, 5001):
-            p = int(t.spf[a])
-            assert p == brute_smallest_factor(a)
-            assert a % p == 0
+            factors = t.factorize(a)
+            p = factors[0][0]
+            assert p == smallest[a]
+            assert math.prod(q**e for q, e in factors) == a
             assert (p == a) == t.is_prime(a)
         for a in range(1, 5001):
             assert t.is_prime(a) == bool(t.is_prime_bytes[a])
@@ -65,26 +67,33 @@ class TestBuildSpf:
         mask = t.is_prime_mask
         assert not mask.flags.writeable
         assert np.shares_memory(mask, np.frombuffer(t.is_prime_bytes, np.uint8))
-        expected = t.spf == np.arange(5001)
+        expected = np.array(smallest) == np.arange(5001)
         expected[:2] = False
         assert (mask == expected).all()
         assert t.prime_list == np.flatnonzero(mask).tolist()
-        for limit in (2, 3, 4, 9, 5000):
+        for limit in (2, 3, 4, 9):
             t = build_spf(limit)
             for a in range(2, limit + 1):
-                assert t.is_prime_bytes[a] == (t.spf[a] == a)
+                factors = t.factorize(a)
+                assert factors[0][0] == smallest[a]
+                assert math.prod(q**e for q, e in factors) == a
+                assert t.is_prime_bytes[a] == (smallest[a] == a)
 
     def test_warm_peak_per_value(self):
-        # the primality bytes come out of the sieve pass, with no temporary
-        # as large as the spf table on the way
+        # the build holds the bool array it crosses off and the bytes copied
+        # from it, and nothing else that grows with the limit; tracemalloc
+        # also sees about 0.5 KB of Python objects (the two buffers' headers,
+        # the table, the loop's own), which no budget count includes
         limit = 2_000_000
+        counted = _sieve_bytes(limit)
+        assert counted <= 2 * (limit + 1)
         tracemalloc.start()
         try:
             build_spf(limit).warm()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * (limit + 1), peak / (limit + 1)
+        assert peak <= counted + 1024, peak - counted
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags
 
 
 def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
-    # 10^10 + 19 takes the 9592 primes up to 10^5: the 400 KB spf table fits
+    # 10^10 + 19 takes the 9592 primes up to 10^5: the sieve's 200 KB fit
     # in 1 MiB, the checks at 512 bytes each do not, and none is made
     def refuse(*args, **kwargs):
         raise AssertionError("certify ran past the budget")
@@ -99,7 +99,7 @@ def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "certify", refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "1M")
     assert call_main(["certify", "10000000019", "--format", "csv"]) == 3
-    needed = 4 * (10**5 + 1) + 512 * 9592
+    needed = 2 * (10**5 + 1) + 512 * 9592
     assert capsys.readouterr().err == (
         "error: the certificate of 10000000019 with 9592 congruence checks "
         f"needs {needed} bytes, budget is {1 << 20}\n"
@@ -166,8 +166,22 @@ def test_memory_budget_exit_3():
     assert b"budget" in proc.stderr
 
 
+def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
+    # the sieve over [2, 1998], two bytes per value in [0, 1998], is the
+    # only allocation this sweep counts
+    args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "3998")
+    assert call_main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "3997")
+    assert call_main(args) == 3
+    assert capsys.readouterr().err == (
+        "error: prime sieve over [2, 1998] needs 3998 bytes, budget is 3997\n"
+    )
+
+
 def test_count_table_over_budget_exit_3():
-    # the spf table through 4000 takes 16 KB; the count table packs the 2000
+    # the sieve through 4000 takes 8 KB; the count table packs the 2000
     # odd values below 4000 into a length-4096 FFT, 192 KiB of buffers
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
     proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
@@ -274,3 +288,17 @@ def test_via_fermat_flag_matches_default():
 def test_verify_against_oracle_flag():
     proc = run_cli("bertrand", "--from", "4", "--to", "30", "--verify-against-oracle")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "task, n, message",
+    [
+        ("bertrand", "6e6", "limit 11999997 exceeds the oracle limit 10000000"),
+        ("binary", "6e6", "total 12000000 exceeds the oracle limit 10000000"),
+        ("ternary", "12000001", "n = 12000001 exceeds the oracle limit 10000000"),
+    ],
+)
+def test_oracle_past_its_limit_exit_2(capsys, task, n, message):
+    args = [task, "--from", n, "--to", n, "--first-witness-only", "--verify-against-oracle"]
+    assert call_main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from phisystems.goldbach import binary_count, ternary_count
 from phisystems.oracle import (
+    ORACLE_LIMIT,
     oracle_is_prime,
     oracle_pairs,
     oracle_triples,
@@ -36,6 +37,10 @@ def test_trial_primes_upto():
     # grow-only cache returns exactly the requested prefix afterwards
     trial_primes_upto(1000)
     assert trial_primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # refused before any trial division, like the pair and triple scans
+    with pytest.raises(ValueError) as exc:
+        trial_primes_upto(ORACLE_LIMIT + 1)
+    assert str(exc.value) == f"limit {ORACLE_LIMIT + 1} exceeds the oracle limit {ORACLE_LIMIT}"
 
 
 def test_pairs_examples():

@@ -45,7 +45,7 @@ def test_package_attributes():
     [
         (
             lambda t: build_spf(1000, memory_budget=1000),
-            "spf table over [2, 1000] needs 4004 bytes, budget is 1000",
+            "prime sieve over [2, 1000] needs 2002 bytes, budget is 1000",
         ),
         (
             # 2000 packed odd values self-convolve in a length-4096 FFT
