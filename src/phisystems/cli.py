@@ -17,14 +17,15 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, build_spf
 from .arith import _check_budget, _sieve_bytes
 from .certify import certify
-from .sweep import TASKS, FORMATS, SweepOptions, emit_counts, emit_report, run_sweep
-from .sweep import _text_bytes
+from .sweep import TASKS, FORMATS, SweepOptions, run_sweep
+from .sweep import _report_slices, _text_bytes
 
 __all__ = ["main"]
 
@@ -120,18 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_file(data: bytes, path: str, what: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-    print(f"{what} written to {path}", file=sys.stderr)
-
-
-def _write_output(data: bytes, out: str | None) -> None:
-    if out:
-        _write_file(data, out, "report")
-    else:
-        sys.stdout.buffer.write(data)
+def _write(parts: Iterable[bytes], path: str | None, what: str) -> None:
+    """Write the parts to path, or to stdout without one, each as it comes."""
+    if not path:
+        for part in parts:
+            sys.stdout.buffer.write(part)
         sys.stdout.buffer.flush()
+        return
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+    print(f"{what} written to {path}", file=sys.stderr)
 
 
 def _certificate_table(cert):
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     report = None
     try:
         if single:
-            data = _single_certificate(args, budget)
+            parts = [_single_certificate(args, budget)]
         else:
             if args.lo is None or args.hi is None:
                 parser.error("--from and --to are required for a range sweep")
@@ -223,7 +223,8 @@ def main(argv=None) -> int:
                 memory_budget=budget,
             )
             report = run_sweep(args.task, args.lo, args.hi, options)
-            data = emit_report(report, args.format)
+            # rendered a slice at a time while it is written
+            parts = _report_slices(report, args.format)
     except MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -232,9 +233,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        _write_output(data, args.out)
+        _write(parts, args.out, "report")
         if report is not None and args.emit_counts:
-            _write_file(emit_counts(report), args.emit_counts, "counts")
+            _write(_report_slices(report, "counts"), args.emit_counts, "counts")
     except OSError as exc:  # an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,12 @@ __all__ = [
 ORACLE_LIMIT = 10**7
 
 
+def _refuse_past_limit(what: str, value: int) -> None:
+    """Raise ValueError when value, named what, is past ORACLE_LIMIT."""
+    if value > ORACLE_LIMIT:
+        raise ValueError(f"{what} {value} exceeds the oracle limit {ORACLE_LIMIT}")
+
+
 @dataclass(frozen=True)
 class PairDecomposition:
     """All splits of an even total into p + q, p <= q, both prime."""
@@ -70,8 +76,7 @@ def trial_primes_upto(limit: int) -> list[int]:
     """Primes <= limit, each certified by oracle_is_prime."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if limit > ORACLE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds the oracle limit {ORACLE_LIMIT}")
+    _refuse_past_limit("limit", limit)
     _ensure_primes(limit)
     return _known_primes[: bisect_right(_known_primes, limit)]
 
@@ -81,8 +86,7 @@ def oracle_pairs(total: int) -> PairDecomposition:
     both are oracle-prime."""
     if total < 4 or total % 2:
         raise ValueError(f"total must be even and >= 4, got {total}")
-    if total > ORACLE_LIMIT:
-        raise ValueError(f"total {total} exceeds the oracle limit {ORACLE_LIMIT}")
+    _refuse_past_limit("total", total)
     _ensure_primes(total)
     pset = _known_set
     pairs = [
@@ -101,8 +105,7 @@ def oracle_triples(n: int) -> list[tuple[int, int, int]]:
     """
     if n <= 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and > 5, got {n}")
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"n = {n} exceeds the oracle limit {ORACLE_LIMIT}")
+    _refuse_past_limit("n =", n)
     _ensure_primes(n)
     ps = _known_primes
     pset = _known_set

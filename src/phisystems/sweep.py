@@ -16,12 +16,18 @@ prime is 3), which walks each m over the mask's primes r >= m until
 next prime and prime count from ``searchsorted`` on the chunk's primes;
 and the certify rows from comparing the block with the sieve. Only a
 ternary n without a q = 3 witness, and the oracle check of
---verify-against-oracle, are handled one n at a time. The cells stay
-Python ints, tuples of them, and verdict strings.
+--verify-against-oracle, are handled one n at a time.
+
+Rows stay int64 columns from the chunk to the report: the witness count,
+the first witness x (-1 where none was found), y for triple tasks, and
+certify's verdict as 0 or 1. The n of a row is its place in the range.
+One writer renders every format from the columns, a slice of rows at a
+time: digits come from integer division into a byte matrix, and a keep
+mask drops its unused places.
 
 A sweep cuts the eligible n into sixteen contiguous chunks per worker,
 runs the chunks in this process on one worker or on forked workers (at
-most one per usable CPU), and merges the results in range order, so the
+most one per usable CPU), and merges the columns in range order, so the
 report is identical for any worker count. For the same reason the JSON
 and CSV renderings carry no timing or parallelism information; elapsed
 time lives on the report object and in the human table format.
@@ -37,13 +43,14 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import goldbach, oracle
 from .arith import DEFAULT_MEMORY_BUDGET, PrimePi, SpfTable, build_spf
+from .arith import _check_budget, _sieve_bytes
 from .certify import VerdictTable, certify_block
 
 __all__ = [
@@ -59,10 +66,7 @@ __all__ = [
 TASKS = ("certify", "bertrand", "binary", "ternary", "peculiar", "proposition")
 FORMATS = ("json", "csv", "table")
 CSV_HEADER = "n,witness_count,first_witness"
-
-# first_witness cell: int for an x, (x, y) pair for triples, a verdict
-# string for certify rows, None when nothing was found
-FirstWitness = int | tuple[int, int] | str | None
+_VERDICT_NAMES = ("Composite", "Prime")  # a certify row's x indexes these
 
 
 @dataclass(frozen=True)
@@ -85,44 +89,57 @@ class SweepOptions:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class RangeReport:
     """Aggregate result of verifying one task over [lo, hi].
 
-    per_n rows are (n, witness_count, first_witness) for every eligible n;
-    in first-witness mode the count is 1 when any witness exists. failures
-    lists every n whose check did not hold (no witness, a failed identity,
-    or an oracle mismatch when oracle verification was requested)."""
+    One row per eligible n, held as int64 columns in the order of ns:
+    count is the witness count (in first-witness mode 1 when any witness
+    exists) and x the first witness, -1 where none was found. Triple
+    tasks add y, their witness being the pair (x, y); a certify row's x
+    is its verdict, 0 for Composite and 1 for Prime. failures lists every
+    n whose check did not hold (no witness, a failed identity, or an
+    oracle mismatch when oracle verification was requested)."""
 
     task: str
     lo: int
     hi: int
-    per_n: tuple[tuple, ...]
+    ns: range
+    count: np.ndarray
+    x: np.ndarray
     failures: tuple[int, ...]
     config: dict
-    elapsed: float = field(default=0.0, compare=False)
+    y: np.ndarray | None = None
+    elapsed: float = 0.0
 
     @property
     def checked(self) -> int:
-        return len(self.per_n)
+        return len(self.ns)
 
-
-def _fw_to_csv(fw: FirstWitness) -> str:
-    if fw is None:
-        return ""
-    if isinstance(fw, tuple):
-        return f"{fw[0]}:{fw[1]}"
-    return str(fw)
+    @property
+    def per_n(self) -> tuple[tuple, ...]:
+        """The rows as (n, witness_count, first_witness) tuples of Python
+        values, built on each access: the first witness is an int, an
+        (x, y) pair, a verdict name, or None. No sweep or report reads it."""
+        x = self.x.tolist()
+        if self.task == "certify":
+            cells = [_VERDICT_NAMES[v] for v in x]
+        elif self.y is not None:
+            cells = list(zip(x, self.y.tolist()))
+        else:
+            cells = x
+        cells = [cell if v >= 0 else None for cell, v in zip(cells, x)]
+        return tuple(zip(self.ns, self.count.tolist(), cells))
 
 
 _TEXT_SLICE = 1 << 14  # lines joined and encoded at a time
 
 
 def _text_bytes(lines: Iterable[str]) -> bytes:
-    """The lines, each ended by a newline, as bytes: the one writer of every
-    text report and certificate. The lines are joined and encoded a fixed
-    slice at a time, so a renderer holds the bytes and one slice of text,
-    never a list of every line besides them."""
+    """The lines, each ended by a newline, as bytes: the writer of the
+    table's header and failures lines and of every certificate. The lines
+    are joined and encoded a fixed slice at a time, so a renderer holds the
+    bytes and one slice of text, never a list of every line besides them."""
     lines = iter(lines)
     parts = []
     while piece := list(itertools.islice(lines, _TEXT_SLICE)):
@@ -131,22 +148,128 @@ def _text_bytes(lines: Iterable[str]) -> bytes:
     return b"".join(parts)
 
 
-def _table_lines(report: RangeReport) -> Iterator[str]:
-    yield (
-        f"task: {report.task}   range: [{report.lo}, {report.hi}]   "
-        f"checked: {report.checked}   failures: {len(report.failures)}   "
-        f"elapsed: {report.elapsed:.3f}s"
-    )
-    if report.per_n:
-        wn = max(len(str(n)) for n, _, _ in report.per_n)
-        wc = max(len("witnesses"), max(len(str(c)) for _, c, _ in report.per_n))
-        yield f"{'n':>{wn}}  {'witnesses':>{wc}}  first"
-        for n, c, fw in report.per_n:
-            yield f"{n:>{wn}}  {c:>{wc}}  {_fw_to_csv(fw)}"
-    if report.failures:
-        shown = ", ".join(str(n) for n in report.failures[:50])
-        more = "" if len(report.failures) <= 50 else ", ..."
-        yield f"failures: {shown}{more}"
+_ROW_SLICE = 1 << 16  # report rows rendered at a time
+
+
+class _Seg(NamedTuple):
+    """One piece of every row of a slice: the literal text, or the digits
+    of values, one per row, trimmed or right-aligned in pad places. It is
+    written on the rows where rows is set, or on all."""
+
+    text: bytes = b""
+    values: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    pad: int = 0
+
+
+def _rows_bytes(segments: list[_Seg], rows: int) -> bytes:
+    """Lay the segments side by side in one byte matrix, a row of it per
+    report row, and read it back through a keep mask that drops the unused
+    places: the leading places of a short number, and segments off their
+    rows. The matrix is filled transposed, one place of every row at a
+    time, so each write is contiguous."""
+    widths = [
+        len(s.text) if s.values is None else s.pad or len(str(int(s.values.max())))
+        for s in segments
+    ]
+    cells = np.empty((sum(widths), rows), np.uint8)
+    keep = np.ones(cells.shape, np.bool_)
+    at = 0
+    for s, width in zip(segments, widths):
+        out, kept = cells[at : at + width], keep[at : at + width]
+        at += width
+        if s.values is None:
+            out[:] = np.frombuffer(s.text, np.uint8)[:, None]
+        else:
+            q = s.values
+            for place in range(width - 1, -1, -1):  # right to left
+                higher = q // 10
+                out[place] = q - 10 * higher + ord("0")
+                if place < width - 1:
+                    blank = q == 0  # left of the value's first digit
+                    if s.pad:
+                        out[place][blank] = ord(" ")
+                    else:
+                        kept[place] = ~blank
+                q = higher
+        if s.rows is not None:
+            kept &= s.rows
+    return cells.T[keep.T].tobytes()
+
+
+def _segments(report: RangeReport, fmt: str, rows: slice, pads) -> list[_Seg]:
+    """The segments of the report rows in the slice rows, in format fmt;
+    pads are the widths of the table's n and count columns, else (0, 0)."""
+    ns = report.ns[rows]
+    n = _Seg(values=np.arange(ns.start, ns.stop, ns.step, dtype=np.int64), pad=pads[0])
+    count = _Seg(values=report.count[rows], pad=pads[1])
+    if fmt == "counts":
+        return [n, _Seg(b","), count, _Seg(b"\n")]
+    x = report.x[rows]
+    found = x >= 0
+    json_ = fmt == "json"
+    if report.task == "certify":
+        quote = b'"' if json_ else b""
+        cell = [
+            _Seg(quote + name.encode() + quote, rows=x == v)
+            for v, name in enumerate(_VERDICT_NAMES)
+        ]
+    elif report.y is not None:
+        left, mid, right = (b"[", b",", b"]") if json_ else (b"", b":", b"")
+        y = report.y[rows]
+        pair = [_Seg(left), _Seg(values=x), _Seg(mid), _Seg(values=y), _Seg(right)]
+        cell = [s._replace(rows=found) for s in pair]
+    else:
+        cell = [_Seg(values=x, rows=found)]
+    sep = _Seg(b"  " if fmt == "table" else b",")
+    if not json_:
+        return [n, sep, count, sep, *cell, _Seg(b"\n")]
+    between = _Seg(b",", rows=np.arange(rows.start, rows.stop) > 0)
+    null = _Seg(b"null", rows=~found)
+    return [between, _Seg(b"["), n, sep, count, sep, *cell, null, _Seg(b"]")]
+
+
+def _report_slices(report: RangeReport, fmt: str) -> Iterator[bytes]:
+    """The report in fmt, one of FORMATS or "counts", as consecutive byte
+    strings: the head, a slice of _ROW_SLICE rows at a time, and the tail.
+    The one renderer of every report format and of the counts CSV."""
+    head, tail, pads = b"", b"", (0, 0)
+    if fmt == "json":
+        header = {
+            "task": report.task,
+            "range": [report.lo, report.hi],
+            "checked": report.checked,
+            "failures": report.failures,
+            "config": report.config,
+        }
+        # the rows go in as the last key of the same object
+        head = json.dumps(header, separators=(",", ":"))[:-1].encode() + b',"per_n":['
+        tail = b"]}\n"
+    elif fmt == "csv":
+        head = (CSV_HEADER + "\n").encode()
+    elif fmt == "counts":
+        head = b"n,witness_count\n"
+    else:
+        lines = [
+            f"task: {report.task}   range: [{report.lo}, {report.hi}]   "
+            f"checked: {report.checked}   failures: {len(report.failures)}   "
+            f"elapsed: {report.elapsed:.3f}s"
+        ]
+        if report.checked:
+            # n ascends, so the last is the widest
+            wn = len(str(report.ns[-1]))
+            pads = (wn, max(len("witnesses"), len(str(int(report.count.max())))))
+            lines.append(f"{'n':>{wn}}  {'witnesses':>{pads[1]}}  first")
+        head = _text_bytes(lines)
+        if report.failures:
+            shown = ", ".join(str(n) for n in report.failures[:50])
+            more = "" if len(report.failures) <= 50 else ", ..."
+            tail = _text_bytes([f"failures: {shown}{more}"])
+    yield head
+    for i in range(0, report.checked, _ROW_SLICE):
+        rows = slice(i, min(i + _ROW_SLICE, report.checked))
+        yield _rows_bytes(_segments(report, fmt, rows, pads), rows.stop - rows.start)
+    yield tail
 
 
 def emit_report(report: RangeReport, fmt: str) -> bytes:
@@ -156,28 +279,14 @@ def emit_report(report: RangeReport, fmt: str) -> bytes:
     n,witness_count,first_witness plus one row per n (pairs as "x:y").
     Counts are identical across formats.
     """
-    if fmt == "json":
-        obj = {
-            "task": report.task,
-            "range": [report.lo, report.hi],
-            "checked": report.checked,
-            "failures": report.failures,
-            "config": report.config,
-            "per_n": report.per_n,  # json writes tuples as arrays
-        }
-        return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
-    if fmt == "csv":
-        rows = (f"{n},{c},{_fw_to_csv(fw)}" for n, c, fw in report.per_n)
-        return _text_bytes(itertools.chain([CSV_HEADER], rows))
-    if fmt == "table":
-        return _text_bytes(_table_lines(report))
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return b"".join(_report_slices(report, fmt))
 
 
 def emit_counts(report: RangeReport) -> bytes:
     """(n, witness_count) rows as CSV, for external plotting."""
-    rows = (f"{n},{c}" for n, c, _ in report.per_n)
-    return _text_bytes(itertools.chain(["n,witness_count"], rows))
+    return b"".join(_report_slices(report, "counts"))
 
 
 class _Runtime(NamedTuple):
@@ -219,28 +328,16 @@ def _with_block(task, rt, ns, hi, options):
     return rt._replace(primes=np.frombuffer(block, np.bool_), base=ns.start)
 
 
-# A task's rows take one chunk ns and return, in the order of ns, the
-# counts and first-witness cells as Python lists and whether each n's
-# check held as a bool array, from whole-array passes over the chunk.
-def _ints(flags: np.ndarray) -> list[int]:
-    """A bool array as Python 0s and 1s."""
-    return flags.view(np.uint8).tolist()
-
-
-def _cells(cells: list, found: np.ndarray) -> list:
-    """cells, with None where nothing was found."""
-    for i in np.flatnonzero(~found).tolist():
-        cells[i] = None
-    return cells
-
-
+# A task's rows take one chunk ns and return whether each n's check held,
+# as a bool array, and the chunk's int64 columns in the order of ns: the
+# counts, the first witnesses x (-1 where none was found) and, for
+# triples, their y, from whole-array passes over the chunk.
 def _rows_certify(ns, rt, options):
     verdicts = rt.primes[ns.start - rt.base : ns.stop - rt.base]
     # the sieve stays the other side
     sieve = np.frombuffer(rt.table.is_prime_bytes, np.bool_)
     ok = verdicts == sieve[ns.start : ns.stop]
-    names = ("Composite", "Prime")
-    return _ints(ok), [names[v] for v in verdicts.tolist()], ok
+    return ok, (ok.astype(np.int64), verdicts.astype(np.int64))
 
 
 def _rows_bertrand(ns, rt, options):
@@ -250,50 +347,48 @@ def _rows_bertrand(ns, rt, options):
     after = np.searchsorted(primes, n, side="right")  # the first prime above n
     below = np.searchsorted(primes, 2 * n - 2)  # the primes below 2n - 2
     found = after < below
-    x = np.zeros_like(n)
+    x = np.full_like(n, -1)
     x[found] = primes[after[found]] - n[found]
-    cells = _cells(x.tolist(), found)
     if options.first_witness_only:
-        return _ints(found), cells, found
+        return found, (found.astype(np.int64), x)
     count = below - after
     # the identity count_identity_check states, against PrimePi's running sums
     cumulative = rt.pi.cumulative
     ok = (count >= 1) & (count == cumulative[2 * n - 2] - cumulative[n])
-    return count.tolist(), cells, ok
+    return ok, (count, x)
 
 
-def _count_rows(ns, cells, found, rt, options):
+def _count_rows(ns, found, witnesses, rt, options):
     """Rows of a task whose count is rt.counts[n] outside first-witness mode."""
     if options.first_witness_only:
-        return _ints(found), cells, found
+        return found, (found.astype(np.int64), *witnesses)
     counts = rt.counts[ns.start : ns.stop : ns.step]
-    return counts.tolist(), cells, found & (counts >= 1)
+    return found & (counts >= 1), (counts, *witnesses)
 
 
 def _rows_binary(ns, rt, options):
     y = goldbach.first_pair_y_block(np.arange(ns.start, ns.stop), rt.primes)
-    found = y >= 0
-    return _count_rows(ns, _cells(y.tolist(), found), found, rt, options)
+    return _count_rows(ns, y >= 0, (y,), rt, options)
 
 
 def _q3_witnesses(ns, rt):
     """The first witnesses with q = 3 of the odd n of ns, from the pair of
     n - 3 about m = (n - 3) / 2; q = 3 gives the smallest x = m + 3."""
     m0 = (ns.start - 3) // 2
-    y = goldbach.first_pair_y_block(np.arange(m0, m0 + len(ns)), rt.primes)
+    m = np.arange(m0, m0 + len(ns))
+    y = goldbach.first_pair_y_block(m, rt.primes)
     found = y >= 0
-    x = range(m0 + 3, m0 + 3 + len(ns))
-    return _cells(list(zip(x, y.tolist())), found), found
+    return found, (np.where(found, m + 3, -1), y)
 
 
 def _rows_ternary(ns, rt, options):
-    cells, found = _q3_witnesses(ns, rt)
+    found, (x, y) = _q3_witnesses(ns, rt)
     # an n with no q = 3 witness takes the scan over larger q
     for i in np.flatnonzero(~found).tolist():
         w = goldbach.first_ternary_witness(ns[i], rt.table)
         if w is not None:
-            cells[i], found[i] = (w.x, w.y), True
-    return _count_rows(ns, cells, found, rt, options)
+            x[i], y[i], found[i] = w.x, w.y, True
+    return _count_rows(ns, found, (x, y), rt, options)
 
 
 def _rows_peculiar(ns, rt, options):
@@ -303,10 +398,10 @@ def _rows_peculiar(ns, rt, options):
 def _rows_proposition(ns, rt, options):
     # the check proposition_check makes: a q = 3 witness exists iff n - 3 is
     # a sum of two primes, the right side by rounds over the mask's primes
-    cells, found = _q3_witnesses(ns, rt)
+    found, witnesses = _q3_witnesses(ns, rt)
     totals = np.arange(ns.start, ns.stop, ns.step) - 3
     ok = found == goldbach._two_prime_sums(totals, rt.table)
-    return _ints(ok), cells, ok
+    return ok, (ok.astype(np.int64), *witnesses)
 
 
 # Oracles give the count a row should report, by trial division; certify
@@ -342,18 +437,38 @@ class _Task(NamedTuple):
     sieve: Callable[[int], int]  # hi -> the sieve limit its rows read
     first: int  # eligible n: first, first + step, ... up to hi
     step: int
-    rows: Callable  # (ns, rt, options) -> (counts, first witnesses, ok)
+    rows: Callable  # (ns, rt, options) -> (ok, columns)
     oracle: Callable  # (n, rt) -> the count the row should report
+    # n -> the name and value of the largest argument the oracle takes at
+    # n, which ORACLE_LIMIT bounds; None when the oracle has no bound
+    reach: Callable[[int], tuple[str, int]] | None
     setup: Callable = lambda task, rt, ns, hi, options: rt  # adds the tables rows read
+    columns: int = 2  # int64 columns per row: count, x and, for triples, y
+
+
+def _pairs(n):
+    return "total", 2 * n
+
+
+def _triples(n):
+    return "n =", n
 
 
 _SPECS = {
-    "certify": _Task(lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, _with_block),
+    "certify": _Task(
+        lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, _with_block
+    ),
     "bertrand": _Task(
-        lambda hi: 2 * hi - 2, 4, 1, _rows_bertrand, _oracle_bertrand, _with_pi
+        lambda hi: 2 * hi - 2,
+        4,
+        1,
+        _rows_bertrand,
+        _oracle_bertrand,
+        lambda n: ("limit", 2 * n - 3),
+        _with_pi,
     ),
     "binary": _Task(
-        lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _with_counts
+        lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _pairs, _with_counts
     ),
     # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
@@ -362,28 +477,32 @@ _SPECS = {
         1,
         _rows_binary,
         _oracle_binary,
+        _pairs,
         _with_verdicts,
     ),
     "ternary": _Task(
-        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _with_counts
+        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, _with_counts, 3
     ),
     "peculiar": _Task(
-        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _with_counts
+        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, _with_counts, 3
     ),
-    "proposition": _Task(lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition),
+    "proposition": _Task(
+        lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, columns=3
+    ),
 }
 
 
 def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
-    counts, witnesses, ok = spec.rows(ns, rt, options)
+    ok, columns = spec.rows(ns, rt, options)
     if options.verify_against_oracle:
+        counts = columns[0]
         exists = options.first_witness_only  # rows count 1 when a witness exists
         for i in np.flatnonzero(ok).tolist():
             expected = spec.oracle(ns[i], rt)
-            count = counts[i]
+            count = int(counts[i])
             ok[i] = (expected > 0) == (count > 0) if exists else expected == count
     failures = [ns[i] for i in np.flatnonzero(~ok).tolist()]
-    return list(zip(ns, counts, witnesses)), failures
+    return columns, failures
 
 
 # the running sweep's state; forked workers inherit it read-only
@@ -444,18 +563,25 @@ def run_sweep(
     spec = _SPECS[route]
 
     started = time.perf_counter()
+    start = max(lo, spec.first)
+    ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
+    if options.verify_against_oracle and ns and spec.reach:
+        oracle._refuse_past_limit(*spec.reach(ns[-1]))
     need = max(spec.sieve(hi), 4)
+    _check_budget(
+        _sieve_bytes(need) + 8 * spec.columns * len(ns),
+        f"prime sieve over [2, {need}] and {len(ns)} report rows",
+        options.memory_budget,
+    )
     if table is None:
         table = build_spf(need, memory_budget=options.memory_budget)
     elif table.limit < need:
         raise ValueError(f"table limit {table.limit} is below the required {need}")
-    start = max(lo, spec.first)
-    ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
     rt = spec.setup(task, _Runtime(table.warm(), table.is_prime_mask), ns, hi, options)
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))
-    rows: list[tuple] = []
+    columns = [np.empty(len(ns), np.int64) for _ in range(spec.columns)]
     failures: list[int] = []
     global _WORKER_STATE
     _WORKER_STATE = (spec, options, rt)
@@ -467,9 +593,12 @@ def run_sweep(
                 pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
                 chunk_map = stack.enter_context(pool).map
             parts = chunk_map(_chunk_entry, chunks)
-            for done, (chunk_rows, chunk_failures) in enumerate(parts, start=1):
-                rows.extend(chunk_rows)
-                failures.extend(chunk_failures)
+            at = 0
+            for done, (part, part_failures) in enumerate(parts, start=1):
+                for column, values in zip(columns, part):
+                    column[at : at + len(values)] = values
+                at += len(part[0])
+                failures.extend(part_failures)
                 _progress(done, len(chunks))
     finally:
         _WORKER_STATE = None
@@ -477,7 +606,10 @@ def run_sweep(
         task=task,
         lo=lo,
         hi=hi,
-        per_n=tuple(rows),
+        ns=ns,
+        count=columns[0],
+        x=columns[1],
+        y=columns[2] if spec.columns == 3 else None,
         failures=tuple(failures),
         config=options.config(),
         elapsed=time.perf_counter() - started,

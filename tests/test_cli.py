@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from phisystems import cli, goldbach
+from phisystems import cli, goldbach, sweep
 
 
 def run_cli(*args, env=None):
@@ -167,17 +167,60 @@ def test_memory_budget_exit_3():
 
 
 def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
-    # the sieve over [2, 1998], two bytes per value in [0, 1998], is the
-    # only allocation this sweep counts
+    # the sieve over [2, 1998], two bytes per value in [0, 1998], and the
+    # report's two int64 columns of 997 rows are all this sweep counts
     args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "3998")
+    args += ["--format", "csv"]
     assert call_main(args) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "3997")
+    default = capsys.readouterr().out
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(3998 + 16 * 997))
+    assert call_main(args) == 0
+    assert capsys.readouterr().out == default
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(3997 + 16 * 997))
     assert call_main(args) == 3
     assert capsys.readouterr().err == (
-        "error: prime sieve over [2, 1998] needs 3998 bytes, budget is 3997\n"
+        "error: prime sieve over [2, 1998] and 997 report rows needs 19950 bytes, "
+        "budget is 19949\n"
     )
+
+
+def test_report_columns_count_against_the_budget(monkeypatch, capsys):
+    # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
+    # and the sieve over [2, 2001] count 23952 + 4004 bytes
+    args = ["ternary", "--from", "7", "--to", "2001", "--first-witness-only"]
+    args += ["--format", "json"]
+    assert call_main(args) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "27956")
+    assert call_main(args) == 0
+    assert capsys.readouterr().out == default
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "27955")
+    assert call_main(args) == 3
+    assert "998 report rows needs 27956 bytes" in capsys.readouterr().err
+    # the 16 MB sieve fits 64 MiB, but not with the 64 MB of columns of
+    # 4 * 10^6 rows, which are refused before the sieve is built
+    monkeypatch.setattr(sweep, "build_spf", _refuse)
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
+    args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
+    assert call_main([*args, "--format", "csv"]) == 3
+    assert "3999999 report rows needs 79999986 bytes" in capsys.readouterr().err
+
+
+def test_streamed_report_peak_rss(tmp_path):
+    # a small parent process, so that the child's peak RSS is its own;
+    # the rows are written a slice at a time, never as a whole report
+    out = tmp_path / "binary.csv"
+    argv = ["binary", "--from", "2", "--to", "2e6", "--first-witness-only"]
+    argv += ["--format", "csv", "--out", str(out)]
+    code = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-m', 'phisystems', *{argv!r}], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert out.stat().st_size > 2 * 10**7
+    assert peak_mib < 150, peak_mib
 
 
 def test_count_table_over_budget_exit_3():
@@ -193,13 +236,14 @@ def test_count_table_over_budget_exit_3():
 
 def test_via_fermat_verdict_table_over_budget_exit_3():
     # the route sieves only to isqrt(4 * 10^6), but its verdict table
-    # holds a byte for every value up to 2 hi - 1
+    # holds a byte for every value up to 2 hi - 1; eleven rows keep the
+    # report's columns far inside the budget
     proc = run_cli(
         "binary",
         "--via-fermat",
         "--first-witness-only",
         "--from",
-        "4",
+        "1999990",
         "--to",
         "2000000",
         env={"PHISYSTEMS_MEMORY_BUDGET": "1M"},
@@ -302,3 +346,17 @@ def test_oracle_past_its_limit_exit_2(capsys, task, n, message):
     args = [task, "--from", n, "--to", n, "--first-witness-only", "--verify-against-oracle"]
     assert call_main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a table was built")
+
+
+@pytest.mark.parametrize("task, n", [("binary", "6e6"), ("ternary", "12000001")])
+def test_oracle_past_its_limit_refused_before_any_table(monkeypatch, capsys, task, n):
+    # in count mode too, the sweep is refused before its sieve or count table
+    monkeypatch.setattr(sweep, "build_spf", _refuse)
+    monkeypatch.setattr(goldbach, "count_table", _refuse)
+    args = [task, "--from", "7", "--to", n, "--verify-against-oracle"]
+    assert call_main(args) == 2
+    assert capsys.readouterr().err.endswith(" exceeds the oracle limit 10000000\n")

@@ -1,9 +1,13 @@
 import json
 import os
+import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phisystems import bertrand, goldbach, sweep
 from phisystems.arith import build_spf
@@ -16,6 +20,77 @@ from phisystems.sweep import (
     emit_report,
     run_sweep,
 )
+
+# The per-row renderer that the columnar writer replaced, kept here as the
+# independent side of the writer tests: f-strings and json.dumps of tuples.
+def _reference_cell(fw) -> str:
+    if fw is None:
+        return ""
+    if isinstance(fw, tuple):
+        return f"{fw[0]}:{fw[1]}"
+    return str(fw)
+
+
+def reference_bytes(task, lo, hi, rows, failures, config, fmt, elapsed=0.0) -> bytes:
+    """rows, (n, count, first witness) tuples, rendered one row at a time."""
+    if fmt == "json":
+        obj = {
+            "task": task,
+            "range": [lo, hi],
+            "checked": len(rows),
+            "failures": failures,
+            "config": config,
+            "per_n": rows,  # json writes tuples as arrays
+        }
+        return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    if fmt == "counts":
+        lines = ["n,witness_count", *(f"{n},{c}" for n, c, _ in rows)]
+    elif fmt == "csv":
+        lines = [CSV_HEADER, *(f"{n},{c},{_reference_cell(fw)}" for n, c, fw in rows)]
+    else:
+        lines = [
+            f"task: {task}   range: [{lo}, {hi}]   checked: {len(rows)}   "
+            f"failures: {len(failures)}   elapsed: {elapsed:.3f}s"
+        ]
+        if rows:
+            wn = max(len(str(n)) for n, _, _ in rows)
+            wc = max(len("witnesses"), max(len(str(c)) for _, c, _ in rows))
+            lines.append(f"{'n':>{wn}}  {'witnesses':>{wc}}  first")
+            lines += [f"{n:>{wn}}  {c:>{wc}}  {_reference_cell(fw)}" for n, c, fw in rows]
+        if failures:
+            shown = ", ".join(str(n) for n in failures[:50])
+            more = "" if len(failures) <= 50 else ", ..."
+            lines.append(f"failures: {shown}{more}")
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def columns_report(task, lo, hi, ns, cells, failures=(), config=None, elapsed=0.0):
+    """A RangeReport whose columns hold the (count, first witness) cells
+    of the n of ns."""
+    fws = [fw for _, fw in cells]
+    x = [
+        -1 if fw is None
+        else fw[0] if isinstance(fw, tuple)
+        else sweep._VERDICT_NAMES.index(fw) if isinstance(fw, str)
+        else fw
+        for fw in fws
+    ]
+    y = None
+    if task in ("ternary", "peculiar", "proposition"):
+        y = np.array([-1 if fw is None else fw[1] for fw in fws], dtype=np.int64)
+    count = np.array([c for c, _ in cells], dtype=np.int64)
+    return RangeReport(
+        task,
+        lo,
+        hi,
+        ns,
+        count,
+        np.array(x, dtype=np.int64),
+        tuple(failures),
+        config or {},
+        y=y,
+        elapsed=elapsed,
+    )
 
 
 def test_binary_sweep_example(table):
@@ -164,19 +239,84 @@ def test_table_bytes(table, task, lo, hi, expected):
 
 
 def test_table_bytes_without_rows_and_with_many_failures():
-    empty = RangeReport("binary", 10, 9, per_n=(), failures=(), config={})
+    empty = columns_report("binary", 10, 9, range(10, 10), [])
     assert emit_report(empty, "table") == (
         b"task: binary   range: [10, 9]   checked: 0   failures: 0   elapsed: 0.000s\n"
     )
     # past fifty failures the list ends in ", ..."
-    failed = RangeReport(
-        "peculiar", 7, 200, per_n=(), failures=tuple(range(7, 200, 2)), config={}
+    failed = columns_report(
+        "peculiar", 7, 200, range(7, 7), [], failures=tuple(range(7, 200, 2))
     )
     shown = ", ".join(str(n) for n in range(7, 106, 2))
     assert emit_report(failed, "table") == (
         "task: peculiar   range: [7, 200]   checked: 0   failures: 97   "
         f"elapsed: 0.000s\nfailures: {shown}, ...\n"
     ).encode()
+
+
+# every digit count from 1 to 19 has a value here, with its neighbours
+EDGE_VALUES = [0, 1, 9, 10, 99, 100, 2**31 - 1, 2**31, 2**31 + 1, 10**18, 2**63 - 1]
+ROW_SLICE = sweep._ROW_SLICE
+# the task whose rows carry each kind of first-witness cell
+KIND_TASKS = {"int": "binary", "pair": "ternary", "verdict": "certify"}
+FORMATS = ("json", "csv", "table", "counts")
+
+
+def _fw_values(kind):
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**63 - 1))
+    if kind == "int":
+        return values
+    if kind == "pair":
+        return st.tuples(values, values)
+    return st.sampled_from(sweep._VERDICT_NAMES)
+
+
+def _render(report, fmt):
+    return emit_counts(report) if fmt == "counts" else emit_report(report, fmt)
+
+
+def _assert_writer_matches_reference(task, lo, hi, ns, cells, failures, elapsed):
+    config = {"first_witness_only": False}
+    report = columns_report(task, lo, hi, ns, cells, failures, config, elapsed)
+    rows = [(n, c, fw) for n, (c, fw) in zip(ns, cells)]
+    assert report.per_n == tuple(rows)
+    for fmt in FORMATS:
+        expected = reference_bytes(task, lo, hi, rows, failures, config, fmt, elapsed)
+        assert _render(report, fmt) == expected, fmt
+
+
+@pytest.mark.parametrize("kind", KIND_TASKS)
+@pytest.mark.parametrize(
+    "rows", [0, 1, ROW_SLICE - 1, ROW_SLICE, ROW_SLICE + 1]
+)
+def test_writer_matches_per_row_reference(kind, rows):
+    rng = random.Random(f"{kind}:{rows}")
+    choices = {
+        "int": EDGE_VALUES + [None],
+        "pair": [(x, y) for x in EDGE_VALUES for y in EDGE_VALUES] + [None],
+        "verdict": [*sweep._VERDICT_NAMES, None],
+    }[kind]
+    cells = [(rng.choice(EDGE_VALUES), rng.choice(choices)) for _ in range(rows)]
+    # n crosses the digit counts of [0, ROW_SLICE], or runs past 2^31 by 2s
+    start, step = {"int": (0, 1), "pair": (2**31 - 11, 2), "verdict": (95, 1)}[kind]
+    ns = range(start, start + step * rows, step)
+    failures = tuple(ns[:60:3])
+    _assert_writer_matches_reference(KIND_TASKS[kind], 0, 9, ns, cells, failures, 1.5)
+
+
+@given(st.data())
+def test_writer_matches_per_row_reference_on_any_cells(data):
+    kind = data.draw(st.sampled_from(sorted(KIND_TASKS)))
+    fw = st.one_of(st.none(), _fw_values(kind))
+    count = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**63 - 1))
+    cells = data.draw(st.lists(st.tuples(count, fw), max_size=30))
+    start = data.draw(st.one_of(st.sampled_from(EDGE_VALUES[:-1]), st.integers(0, 2**62)))
+    step = data.draw(st.sampled_from([1, 2]))
+    ns = range(start, start + step * len(cells), step)
+    failures = tuple(data.draw(st.lists(st.integers(0, 2**62), max_size=60)))
+    elapsed = data.draw(st.floats(0, 1e6))
+    task = KIND_TASKS[kind]
+    _assert_writer_matches_reference(task, start, start + 9, ns, cells, failures, elapsed)
 
 
 SLICE = sweep._TEXT_SLICE
@@ -312,18 +452,12 @@ def test_reports_match_per_n_functions(
     task = route.split()[0]
     lo, hi = SMALL_RANGES[task]
     options = replace(MODES[mode], via_fermat=route != task)
-    expected = RangeReport(
-        task=task,
-        lo=lo,
-        hi=hi,
-        per_n=tuple(reference_rows(task, lo, hi, options)),
-        failures=(),
-        config=options.config(),
-    )
+    rows = reference_rows(task, lo, hi, options)
     for threads in (1, 2):
         report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
         for fmt in ("json", "csv"):
-            assert emit_report(report, fmt) == emit_report(expected, fmt)
+            expected = reference_bytes(task, lo, hi, rows, (), options.config(), fmt)
+            assert emit_report(report, fmt) == expected
 
 
 WIDE_RANGES = {
@@ -515,20 +649,16 @@ def test_certify_sweep_certifies_only_the_swept_n(
 
     lo, hi = HIGH
     for options in (SweepOptions(), SweepOptions(verify_against_oracle=True)):
-        expected = RangeReport(
-            task="certify",
-            lo=lo,
-            hi=hi,
-            per_n=tuple(reference_rows("certify", lo, hi, options)),
-            failures=(),
-            config=options.config(),
-        )
+        rows = reference_rows("certify", lo, hi, options)
         for threads in (1, 2):
             with monkeypatch.context() as m:
                 m.setattr(sweep, "certify_block", recording_block)
                 report = run_sweep("certify", lo, hi, replace(options, threads=threads))
             for fmt in ("json", "csv"):
-                assert emit_report(report, fmt) == emit_report(expected, fmt)
+                expected = reference_bytes(
+                    "certify", lo, hi, rows, (), options.config(), fmt
+                )
+                assert emit_report(report, fmt) == expected
     assert blocks == [(lo, hi, 201)] * 4
 
 
