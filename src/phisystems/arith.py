@@ -1,18 +1,18 @@
 """Sieve-backed arithmetic functions.
 
-A primality sieve over [2, limit] is the backbone, one byte per value,
-1 exactly at the primes; the numpy mask is a read-only view of those
-bytes. Primality, the prime-power valuation nu_p and the prime-counting
-function pi read it directly. The count nu of prime divisors with
-multiplicity and Euler's totient phi read one exact trial division,
-``factorize``: the table's primes, then each odd d past the limit, until
-d * d exceeds the unfactored part.
+A primality sieve over [2, limit] is the backbone: one read-only numpy
+bool array, indexed by value and True exactly at the primes. Primality,
+the prime-power valuation nu_p and the prime-counting function pi read it
+directly. The count nu of prime divisors with multiplicity and Euler's
+totient phi read one exact trial division, ``factorize``: the table's
+primes, then each odd d past the limit, until d * d exceeds the
+unfactored part.
 
 ``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
 sieve, the FFT count convolution and the certification blocks all call.
 
-Tables are immutable after construction and safe to share across threads
-or forked worker processes.
+Tables are immutable after construction (the sieve array is not
+writeable) and safe to share across threads or forked worker processes.
 """
 
 import itertools
@@ -47,8 +47,8 @@ def _check_budget(needed: int, what: str, memory_budget: int) -> None:
 
 def _sieve_bytes(limit: int) -> int:
     """What build_spf(limit) holds at its peak: the bool array it crosses
-    off and the bytes copied from it, one byte per value each."""
-    return 2 * (limit + 1)
+    off, one byte per value, which the table keeps."""
+    return limit + 1
 
 
 def _check_natural(a: int) -> None:
@@ -60,22 +60,17 @@ def _check_natural(a: int) -> None:
 class SpfTable:
     """Primality table over [2, limit], the sieve that build_spf returns.
 
-    ``is_prime_bytes`` holds one byte per value in [0, limit], 1 exactly
-    at the primes: the table's only primality buffer. Despite the name it
-    keeps no smallest prime factors; :meth:`factorize` divides by the
-    primes. Pure-Python scan loops index the bytes, which is markedly
-    faster than numpy scalar indexing. The mask view, the prime list and
-    the nu table are cached lazily on first use; call :meth:`warm` before
-    forking workers that will share the primality mask.
+    ``is_prime_mask`` is a read-only bool array over [0, limit], True
+    exactly at the primes: the table's only primality buffer. Despite the
+    name it keeps no smallest prime factors; :meth:`factorize` divides by
+    the primes. Pure-Python scan loops index the array's buffer, its
+    ``.data``, taken once per call, which is markedly faster than numpy
+    scalar indexing. The prime list and the nu table are cached lazily on
+    first use.
     """
 
     limit: int
-    is_prime_bytes: bytes = field(repr=False)
-
-    @cached_property
-    def is_prime_mask(self) -> np.ndarray:
-        """is_prime_bytes as a read-only bool array; a view, not a copy."""
-        return np.frombuffer(self.is_prime_bytes, np.bool_)
+    is_prime_mask: np.ndarray = field(repr=False)
 
     @cached_property
     def prime_list(self) -> list[int]:
@@ -93,10 +88,9 @@ class SpfTable:
         return nu
 
     def warm(self) -> "SpfTable":
-        """Materialize the mask view of the primality bytes, which every
-        sweep reads, so that forked workers inherit it; the prime list is
-        built on first use."""
-        self.is_prime_mask
+        """The table itself: it has nothing left to build, since the sieve
+        keeps its primality array and the prime list is built on first use.
+        Kept so that callers may chain it after build_spf."""
         return self
 
     def factorize(self, a: int) -> list[tuple[int, int]]:
@@ -145,7 +139,7 @@ class SpfTable:
     def is_prime(self, a: int) -> bool:
         _check_natural(a)
         if a <= self.limit:
-            return bool(self.is_prime_bytes[a])
+            return bool(self.is_prime_mask[a])
         return self.factorize(a) == [(a, 1)]
 
 
@@ -190,4 +184,5 @@ def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTabl
     for p in range(2, math.isqrt(limit) + 1):
         if prime[p]:
             prime[p * p :: p] = False
-    return SpfTable(limit=limit, is_prime_bytes=prime.tobytes())
+    prime.flags.writeable = False
+    return SpfTable(limit=limit, is_prime_mask=prime)

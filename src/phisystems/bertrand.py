@@ -55,9 +55,9 @@ def bertrand_count(n: int, table: SpfTable) -> int:
 
 def first_bertrand_witness(n: int, table: SpfTable) -> BertrandWitness | None:
     _validate(n, table)
-    b = table.is_prime_bytes
+    prime = table.is_prime_mask.data
     for x in range(1, n - 2):
-        if b[n + x]:
+        if prime[n + x]:
             return BertrandWitness(n=n, x=x, prime=n + x)
     return None
 

@@ -11,7 +11,9 @@ certificate carries the checks it performed. ``certify_block`` gives the
 verdicts of a whole block of m at once: m^(p-1) mod p depends only on the
 residue class of m mod p, so it evaluates the congruence once per class,
 p pows for the prime p, and gathers those p outcomes over every m of the
-block whose system contains p. ``VerdictTable`` grows by such blocks.
+block whose system contains p. A block is a read-only numpy bool array,
+the format of the sieve's primality too, and ``VerdictTable`` keeps one
+such array, grown by blocks.
 """
 
 import enum
@@ -128,26 +130,29 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
 
 
 def _block_bytes(lo: int, hi: int) -> int:
-    """Bytes certify_block(lo, hi) counts against the budget: the numpy
-    block and the verdict bytes, one byte per m each, and the tiling
-    temporary, which is at most two periods longer than the block."""
-    return 3 * (hi - lo + 1) + 2 * math.isqrt(hi)
+    """Bytes certify_block(lo, hi) counts against the budget: the block,
+    one byte per m, and the tiling temporary, which is at most two periods
+    longer than the block."""
+    return 2 * (hi - lo + 1) + 2 * math.isqrt(hi)
 
 
 def certify_block(
     lo: int, hi: int, table: SpfTable, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> bytes:
-    """One byte per m in [lo, hi]: 1 where m certifies as prime.
+) -> np.ndarray:
+    """A read-only bool array over m in [lo, hi]: True where m certifies
+    as prime.
 
-    Byte m - lo equals ``certify_verdict(m, table)[0]``. For each prime
+    Entry m - lo equals ``certify_verdict(m, table)[0]``. For each prime
     p <= isqrt(hi) the congruence a^(p-1) == 1 (mod p) is evaluated once
     for every residue class a in [0, p), by ``pow``; the p outcomes are
     then tiled over m in [max(lo, p^2), hi], starting at the class of the
-    first such m, and folded into the block. An empty block (lo > hi) is
-    b"".
+    first such m, and folded into the block. An empty block (lo > hi) has
+    length 0.
     """
     if lo > hi:
-        return b""
+        empty = np.zeros(0, dtype=np.bool_)
+        empty.flags.writeable = False
+        return empty
     _scan_bound(lo, table)  # m >= 2
     bound = _scan_bound(hi, table)
     _check_budget(
@@ -161,7 +166,8 @@ def certify_block(
         offset = start % p
         reps = -(-(offset + width) // p)
         block[start - lo :] &= np.tile(holds, reps)[offset : offset + width]
-    return block.tobytes()
+    block.flags.writeable = False
+    return block
 
 
 class VerdictTable:
@@ -171,42 +177,33 @@ class VerdictTable:
     limit with one ``certify_block`` call, so each congruence is evaluated
     once per residue class of the block rather than once per value. Range
     sweeps over the Fermat route read it as their primality, rows and
-    count table alike. The verdicts are kept once, as ``verdict_bytes``
-    (1 where the value certifies as prime); ``verdicts`` is a read-only
-    numpy view of those bytes. Growth that would hold more than
-    ``memory_budget`` bytes raises MemoryBudgetError before anything is
-    allocated.
+    count table alike. The verdicts are kept once, as ``verdicts``, a
+    read-only numpy bool array indexed by value (True where the value
+    certifies as prime), which each growth replaces by its concatenation
+    with the new block. Growth that would hold more than ``memory_budget``
+    bytes raises MemoryBudgetError before anything is allocated.
     """
 
     def __init__(self, table: SpfTable, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.table = table
         self.memory_budget = memory_budget
-        self._bytes = bytes(2)
-        self._view = np.frombuffer(self._bytes, np.bool_)
+        self.verdicts = np.zeros(2, dtype=np.bool_)  # 0 and 1 are not prime
+        self.verdicts.flags.writeable = False
 
     @property
     def limit(self) -> int:
-        return len(self._bytes) - 1
-
-    @property
-    def verdict_bytes(self) -> bytes:
-        return self._bytes
-
-    @property
-    def verdicts(self) -> np.ndarray:
-        return self._view
+        return len(self.verdicts) - 1
 
     def ensure(self, limit: int) -> np.ndarray:
         if limit > self.limit:
-            lo = len(self._bytes)
-            # the old and the grown bytes coexist while they are joined
+            lo = len(self.verdicts)
+            # the old and the grown arrays coexist while they are joined
             _check_budget(
                 lo + (limit + 1) + _block_bytes(lo, limit),
                 f"verdict table over [0, {limit}]",
                 self.memory_budget,
             )
-            self._bytes += certify_block(
-                lo, limit, self.table, memory_budget=self.memory_budget
-            )
-            self._view = np.frombuffer(self._bytes, np.bool_)
-        return self._view
+            block = certify_block(lo, limit, self.table, memory_budget=self.memory_budget)
+            self.verdicts = np.concatenate((self.verdicts, block))
+            self.verdicts.flags.writeable = False
+        return self.verdicts

@@ -121,7 +121,7 @@ def binary_count(n: int, table: SpfTable) -> int:
 def first_binary_witness(n: int, table: SpfTable) -> BinaryWitness | None:
     """Lowest-x witness, scanning only the viable parity class of x."""
     _validate_pair_n(n, table)
-    x = _first_pair_y(2 * n, table.is_prime_bytes)
+    x = _first_pair_y(2 * n, table.is_prime_mask.data)
     return None if x is None else BinaryWitness(n=n, x=x, p=n - x, q=n + x)
 
 
@@ -189,10 +189,11 @@ def _pair_count(s: int, mask: np.ndarray) -> int:
     return int(np.count_nonzero(_pair_mask(s, mask)))
 
 
-def _first_pair_y(s: int, prime_bytes: bytes) -> int | None:
+def _first_pair_y(s: int, prime: memoryview) -> int | None:
     """Smallest y >= 0 with s/2 - y and s/2 + y both prime, s even >= 4;
-    prime_bytes is the sieve's is_prime_bytes or a VerdictTable's
-    verdict_bytes."""
+    prime is the buffer (``.data``) of a primality mask, the sieve's
+    is_prime_mask or a VerdictTable's verdicts, which indexes faster than
+    the array itself. A caller that scans many s takes it once."""
     m = s // 2
     if m == 2:
         return 0  # 4 = 2 + 2
@@ -200,7 +201,7 @@ def _first_pair_y(s: int, prime_bytes: bytes) -> int | None:
     # y = m - 2 would put p = 2 against an even r > 2, so stop at m - 3
     y = 0 if m % 2 else 1
     while y <= m - 3:
-        if prime_bytes[m - y] and prime_bytes[m + y]:
+        if prime[m - y] and prime[m + y]:
             return y
         y += 2
     return None
@@ -297,11 +298,11 @@ def ternary_count(n: int, table: SpfTable) -> int:
 
 def first_ternary_witness(n: int, table: SpfTable) -> TernaryWitness | None:
     _validate_odd_n(n, table)
-    b = table.is_prime_bytes
+    prime = table.is_prime_mask.data
     plist = table.prime_list
     for i in range(1, _odd_prime_bound(n, table)):
         q = plist[i]
-        y = _first_pair_y(n - q, b)
+        y = _first_pair_y(n - q, prime)
         if y is not None:
             m = (n - q) // 2
             return TernaryWitness(n=n, x=(n + q) // 2, y=y, p=m - y, q=q, r=m + y)
@@ -337,7 +338,7 @@ def first_peculiar_witness(n: int, table: SpfTable) -> TernaryWitness | None:
     witness.
     """
     _validate_odd_n(n, table)
-    y = _first_pair_y(n - 3, table.is_prime_bytes)
+    y = _first_pair_y(n - 3, table.is_prime_mask.data)
     if y is None:
         return None
     m = (n - 3) // 2
@@ -441,10 +442,10 @@ def two_prime_sum_exists(total: int, table: SpfTable) -> bool:
         raise ValueError(f"total {total} is beyond the table limit {table.limit}")
     if total < 4:
         return False
-    b = table.is_prime_bytes
+    prime = table.is_prime_mask.data
     plist = table.prime_list
     for i in range(bisect_right(plist, total // 2)):
-        if b[total - plist[i]]:
+        if prime[total - plist[i]]:
             return True
     return False
 

@@ -325,7 +325,7 @@ def _with_verdicts(task, rt, ns, hi, options):
 def _with_block(task, rt, ns, hi, options):
     # the swept n only, so a narrow range high up certifies just that range
     block = certify_block(ns.start, hi, rt.table, memory_budget=options.memory_budget)
-    return rt._replace(primes=np.frombuffer(block, np.bool_), base=ns.start)
+    return rt._replace(primes=block, base=ns.start)
 
 
 # A task's rows take one chunk ns and return whether each n's check held,
@@ -335,8 +335,7 @@ def _with_block(task, rt, ns, hi, options):
 def _rows_certify(ns, rt, options):
     verdicts = rt.primes[ns.start - rt.base : ns.stop - rt.base]
     # the sieve stays the other side
-    sieve = np.frombuffer(rt.table.is_prime_bytes, np.bool_)
-    ok = verdicts == sieve[ns.start : ns.stop]
+    ok = verdicts == rt.table.is_prime_mask[ns.start : ns.stop]
     return ok, (ok.astype(np.int64), verdicts.astype(np.int64))
 
 
@@ -407,7 +406,7 @@ def _rows_proposition(ns, rt, options):
 # Oracles give the count a row should report, by trial division; certify
 # and proposition rows count 1 when their check holds against it.
 def _oracle_certify(n, rt):
-    return int(oracle.oracle_is_prime(n) == bool(rt.table.is_prime_bytes[n]))
+    return int(oracle.oracle_is_prime(n) == bool(rt.table.is_prime_mask[n]))
 
 
 def _oracle_bertrand(n, rt):
@@ -568,9 +567,10 @@ def run_sweep(
     if options.verify_against_oracle and ns and spec.reach:
         oracle._refuse_past_limit(*spec.reach(ns[-1]))
     need = max(spec.sieve(hi), 4)
+    rows = max(0, (hi - ns.start) // spec.step + 1)  # len(ns) stops at 2^63 - 1
     _check_budget(
-        _sieve_bytes(need) + 8 * spec.columns * len(ns),
-        f"prime sieve over [2, {need}] and {len(ns)} report rows",
+        _sieve_bytes(need) + 8 * spec.columns * rows,
+        f"prime sieve over [2, {need}] and {rows} report rows",
         options.memory_budget,
     )
     if table is None:
@@ -581,7 +581,7 @@ def run_sweep(
     workers = _worker_count(options.threads)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))
-    columns = [np.empty(len(ns), np.int64) for _ in range(spec.columns)]
+    columns = [np.empty(rows, np.int64) for _ in range(spec.columns)]
     failures: list[int] = []
     global _WORKER_STATE
     _WORKER_STATE = (spec, options, rt)

@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from phisystems.arith import PrimePi, build_spf
@@ -89,7 +90,7 @@ def test_certify_block_fast_path_on_criterion_1_range(table):
     started = time.perf_counter()
     block = certify_block(2, CERTIFY_LIMIT, table)
     elapsed = time.perf_counter() - started
-    assert block == table.is_prime_bytes[2 : CERTIFY_LIMIT + 1]
+    assert np.array_equal(block, table.is_prime_mask[2 : CERTIFY_LIMIT + 1])
     rng = random.Random(PAIR_SAMPLE_SEED)
     sample = [rng.randint(2, CERTIFY_LIMIT) for _ in range(2_000)]
     bad = [m for m in sample if block[m - 2] != certify_verdict(m, table)[0]]
@@ -217,7 +218,7 @@ def test_criterion_8_determinism(table, usable_cpus):
 def test_invariant_bertrand_nonempty_to_1e6(table):
     """Module invariant beyond criterion 2's range: a witness for every n
     in (3, 1e6]."""
-    b = table.is_prime_bytes
+    b = table.is_prime_mask.tobytes()  # bytes.find gives the next prime
     missing = [
         n for n in range(4, TERNARY_SWEEP_LIMIT + 1) if b.find(1, n + 1, 2 * n - 2) < 0
     ]

@@ -61,12 +61,12 @@ class TestBuildSpf:
             assert p == smallest[a]
             assert math.prod(q**e for q, e in factors) == a
             assert (p == a) == t.is_prime(a)
-        for a in range(1, 5001):
-            assert t.is_prime(a) == bool(t.is_prime_bytes[a])
-        # primality is one buffer: the mask is a read-only view of the bytes
+        # primality is one buffer: the read-only bool array the sieve crossed off
         mask = t.is_prime_mask
-        assert not mask.flags.writeable
-        assert np.shares_memory(mask, np.frombuffer(t.is_prime_bytes, np.uint8))
+        assert mask.dtype == np.bool_ and not mask.flags.writeable
+        assert t.warm().is_prime_mask is mask
+        for a in range(1, 5001):
+            assert t.is_prime(a) == bool(mask[a])
         expected = np.array(smallest) == np.arange(5001)
         expected[:2] = False
         assert (mask == expected).all()
@@ -77,16 +77,16 @@ class TestBuildSpf:
                 factors = t.factorize(a)
                 assert factors[0][0] == smallest[a]
                 assert math.prod(q**e for q, e in factors) == a
-                assert t.is_prime_bytes[a] == (smallest[a] == a)
+                assert t.is_prime_mask[a] == (smallest[a] == a)
 
     def test_warm_peak_per_value(self):
-        # the build holds the bool array it crosses off and the bytes copied
-        # from it, and nothing else that grows with the limit; tracemalloc
-        # also sees about 0.5 KB of Python objects (the two buffers' headers,
+        # the build holds the bool array it crosses off, which the table
+        # keeps, and nothing else that grows with the limit; tracemalloc
+        # also sees about 0.5 KB of Python objects (the array's header,
         # the table, the loop's own), which no budget count includes
         limit = 2_000_000
         counted = _sieve_bytes(limit)
-        assert counted <= 2 * (limit + 1)
+        assert counted <= limit + 1
         tracemalloc.start()
         try:
             build_spf(limit).warm()

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phisystems.arith import MemoryBudgetError, build_spf
 from phisystems.certify import (
     Verdict,
     VerdictTable,
+    _block_bytes,
     certify,
     certify_block,
     certify_verdict,
@@ -140,10 +142,9 @@ class TestVerdictTable:
         views = []
         for limit in (50, 200):
             views.append(vt.ensure(limit))
-            # after each growth the array is a read-only view of the bytes
+            # after each growth the table keeps one read-only bool array
             assert views[-1] is vt.verdicts and not vt.verdicts.flags.writeable
-            assert np.shares_memory(vt.verdicts, np.frombuffer(vt.verdict_bytes, np.uint8))
-            assert vt.verdicts.tobytes() == vt.verdict_bytes
+            assert vt.verdicts.dtype == np.bool_ and len(vt.verdicts) == limit + 1
         first, arr = views
         assert (arr[: len(first)] == first).all()
         assert vt.limit == 200
@@ -155,25 +156,27 @@ class TestVerdictTable:
             grown.ensure(limit)
         once = VerdictTable(table)
         once.ensure(40_001)
-        assert grown.verdict_bytes == once.verdict_bytes
-        assert grown.verdict_bytes == table.is_prime_bytes[: 40_002]
+        assert np.array_equal(grown.verdicts, once.verdicts)
+        assert np.array_equal(grown.verdicts, table.is_prime_mask[: 40_002])
 
     def test_memory_budget_checked_before_growth(self, table):
         vt = VerdictTable(table, memory_budget=10_000)
         vt.ensure(1_000)
-        before = vt.verdict_bytes
+        before = vt.verdicts
         with pytest.raises(MemoryBudgetError, match="budget"):
             vt.ensure(5_000)
-        assert vt.verdict_bytes is before and vt.limit == 1_000
+        assert vt.verdicts is before and vt.limit == 1_000
 
 
 def _per_m(lo, hi, table):
-    return bytes(certify_verdict(m, table)[0] for m in range(lo, hi + 1))
+    return [certify_verdict(m, table)[0] for m in range(lo, hi + 1)]
 
 
 class TestCertifyBlock:
     def test_equals_per_m_verdicts(self, table):
-        assert certify_block(2, 200_000, table) == _per_m(2, 200_000, table)
+        block = certify_block(2, 200_000, table)
+        assert block.dtype == np.bool_ and not block.flags.writeable
+        assert block.tolist() == _per_m(2, 200_000, table)
 
     def test_random_blocks_around_prime_squares(self, table):
         # a block costs sum(p) pows over p <= isqrt(hi): keep hi near 10^6
@@ -189,21 +192,22 @@ class TestCertifyBlock:
                 if lo >= 2:
                     blocks.append((lo, lo + rng.randrange(0, 2 * p + 50)))
         for lo, hi in blocks:
-            assert certify_block(lo, hi, table) == _per_m(lo, hi, table), (lo, hi)
+            assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table), (lo, hi)
 
     def test_small_starts_and_single_values(self, table):
         for lo in (2, 3, 4):
             for hi in range(lo, 60):
-                assert certify_block(lo, hi, table) == _per_m(lo, hi, table)
+                assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table)
         for m in (2, 3, 4, 9, 25, 49, 97, 7919, 999_983, 10**6, 1_018_081):
-            assert certify_block(m, m, table) == bytes([certify_verdict(m, table)[0]])
-        assert certify_block(10, 9, table) == b""
+            assert certify_block(m, m, table).tolist() == _per_m(m, m, table)
+        empty = certify_block(10, 9, table)
+        assert empty.dtype == np.bool_ and empty.size == 0 and not empty.flags.writeable
 
     def test_table_limit_bounds_the_block(self):
         small = build_spf(1_000)
         hi = 1_001**2 - 1  # isqrt(hi) is exactly the table limit
         assert math.isqrt(hi) == small.limit
-        assert certify_block(hi - 500, hi, small) == _per_m(hi - 500, hi, small)
+        assert certify_block(hi - 500, hi, small).tolist() == _per_m(hi - 500, hi, small)
         with pytest.raises(ValueError, match="beyond the table limit") as block_err:
             certify_block(hi - 500, hi + 1, small)
         with pytest.raises(ValueError) as scalar_err:
@@ -229,9 +233,25 @@ class TestCertifyBlock:
         assert len(calls) == sum(primes)
         # every base is a residue class in [0, p), each evaluated once
         assert sorted(calls) == sorted((a, p - 1, p) for p in primes for a in range(p))
-        assert got == _per_m(lo, hi, table)
+        assert got.tolist() == _per_m(lo, hi, table)
 
     def test_memory_budget(self, table):
         with pytest.raises(MemoryBudgetError, match="budget"):
             certify_block(2, 100_000, table, memory_budget=100_000)
         assert len(certify_block(2, 10_000, table, memory_budget=100_000)) == 9_999
+
+    def test_peak_within_the_count(self, table):
+        # the block, one byte per m, and one tiling temporary are what it
+        # holds at once; tracemalloc also sees a few hundred bytes of
+        # Python objects (a prime's residue list, the arrays' headers)
+        lo, hi = 2, 2_000_000
+        counted = _block_bytes(lo, hi)
+        assert counted <= 2 * (hi - lo + 1) + 2 * math.isqrt(hi)
+        table.prime_list  # cached before tracing, as the sweeps have it
+        tracemalloc.start()
+        try:
+            certify_block(lo, hi, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted + 1024, peak - counted

@@ -91,7 +91,7 @@ def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags
 
 
 def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
-    # 10^10 + 19 takes the 9592 primes up to 10^5: the sieve's 200 KB fit
+    # 10^10 + 19 takes the 9592 primes up to 10^5: the sieve's 100 KB fit
     # in 1 MiB, the checks at 512 bytes each do not, and none is made
     def refuse(*args, **kwargs):
         raise AssertionError("certify ran past the budget")
@@ -99,7 +99,7 @@ def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "certify", refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "1M")
     assert call_main(["certify", "10000000019", "--format", "csv"]) == 3
-    needed = 2 * (10**5 + 1) + 512 * 9592
+    needed = (10**5 + 1) + 512 * 9592
     assert capsys.readouterr().err == (
         "error: the certificate of 10000000019 with 9592 congruence checks "
         f"needs {needed} bytes, budget is {1 << 20}\n"
@@ -167,43 +167,60 @@ def test_memory_budget_exit_3():
 
 
 def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
-    # the sieve over [2, 1998], two bytes per value in [0, 1998], and the
+    # the sieve over [2, 1998], one byte per value in [0, 1998], and the
     # report's two int64 columns of 997 rows are all this sweep counts
     args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
     args += ["--format", "csv"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(3998 + 16 * 997))
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(1999 + 16 * 997))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(3997 + 16 * 997))
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(1998 + 16 * 997))
     assert call_main(args) == 3
     assert capsys.readouterr().err == (
-        "error: prime sieve over [2, 1998] and 997 report rows needs 19950 bytes, "
-        "budget is 19949\n"
+        "error: prime sieve over [2, 1998] and 997 report rows needs 17951 bytes, "
+        "budget is 17950\n"
     )
 
 
 def test_report_columns_count_against_the_budget(monkeypatch, capsys):
     # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
-    # and the sieve over [2, 2001] count 23952 + 4004 bytes
+    # and the sieve over [2, 2001] count 23952 + 2002 bytes
     args = ["ternary", "--from", "7", "--to", "2001", "--first-witness-only"]
     args += ["--format", "json"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "27956")
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "25954")
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "27955")
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "25953")
     assert call_main(args) == 3
-    assert "998 report rows needs 27956 bytes" in capsys.readouterr().err
-    # the 16 MB sieve fits 64 MiB, but not with the 64 MB of columns of
+    assert "998 report rows needs 25954 bytes" in capsys.readouterr().err
+    # the 8 MB sieve fits 64 MiB, but not with the 64 MB of columns of
     # 4 * 10^6 rows, which are refused before the sieve is built
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
     args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
     assert call_main([*args, "--format", "csv"]) == 3
-    assert "3999999 report rows needs 79999986 bytes" in capsys.readouterr().err
+    assert "3999999 report rows needs 71999985 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, lo, hi, sieve",
+    [("certify", 2, 10**19, 10**19), ("bertrand", 4, 2**63 + 4, 2**64 + 6)],
+)
+def test_sweep_of_2_63_rows_or_more_exit_3(monkeypatch, capsys, task, lo, hi, sieve):
+    # len() of such a range overflows; the rows are counted from its ends
+    monkeypatch.delenv("PHISYSTEMS_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(sweep, "build_spf", _refuse)
+    assert call_main([task, "--from", str(lo), "--to", str(hi)]) == 3
+    rows = hi - lo + 1
+    assert rows >= 2**63
+    assert capsys.readouterr().err == (
+        f"error: prime sieve over [2, {sieve}] and {rows} report rows needs "
+        f"{sieve + 1 + 16 * rows} bytes, budget is {2 << 30}\n"
+    )
 
 
 def test_streamed_report_peak_rss(tmp_path):
@@ -224,7 +241,7 @@ def test_streamed_report_peak_rss(tmp_path):
 
 
 def test_count_table_over_budget_exit_3():
-    # the sieve through 4000 takes 8 KB; the count table packs the 2000
+    # the sieve through 4000 takes 4 KB; the count table packs the 2000
     # odd values below 4000 into a length-4096 FFT, 192 KiB of buffers
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
     proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})

@@ -300,9 +300,10 @@ class TestProposition:
         assert (first_peculiar_witness(n, table) is not None) == left
 
 
-def scalar_pair_ys(m, prime_bytes):
+def scalar_pair_ys(m, mask):
     """_first_pair_y of the total 2m for each m, -1 where it finds nothing."""
-    ys = [goldbach._first_pair_y(2 * k, prime_bytes) for k in m]
+    prime = mask.data
+    ys = [goldbach._first_pair_y(2 * k, prime) for k in m]
     return [-1 if y is None else y for y in ys]
 
 
@@ -311,13 +312,13 @@ class TestPairBlock:
         m = np.arange(2, PAIR_N_MAX + 1)
         got = first_pair_y_block(m, table.is_prime_mask)
         assert got.dtype == np.int64
-        assert got.tolist() == scalar_pair_ys(m.tolist(), table.is_prime_bytes)
+        assert got.tolist() == scalar_pair_ys(m.tolist(), table.is_prime_mask)
 
     def test_matches_the_scalar_scan_on_verdicts(self, table):
         vt = VerdictTable(table)
         m = np.arange(2, 5001)
         got = first_pair_y_block(m, vt.ensure(2 * 5000 - 3))
-        assert got.tolist() == scalar_pair_ys(m.tolist(), vt.verdict_bytes)
+        assert got.tolist() == scalar_pair_ys(m.tolist(), vt.verdicts)
 
     def test_any_order_and_misses(self, table):
         # a block need not be sorted or distinct; with no prime above 100
@@ -326,7 +327,7 @@ class TestPairBlock:
         sparse[101:] = False
         m = [500, 2, 3, 4, 60, 7, 500, 5, 98, 99, 6]
         got = first_pair_y_block(np.array(m), sparse).tolist()
-        assert got == scalar_pair_ys(m, sparse.tobytes())
+        assert got == scalar_pair_ys(m, sparse)
         assert got[:5] == [-1, 0, 0, 1, 1]  # 4 = 2 + 2, 6 = 3 + 3, 8 = 3 + 5, 59 + 61
         assert first_pair_y_block(np.array([], dtype=np.int64), sparse).size == 0
 
@@ -341,7 +342,7 @@ class TestPairBlock:
         sparse[0:3] = True
         got = first_pair_y_block(m, sparse)
         assert got.tolist() == want.tolist()
-        assert got.tolist() == scalar_pair_ys(m.tolist(), sparse.tobytes())
+        assert got.tolist() == scalar_pair_ys(m.tolist(), sparse)
 
     def test_no_prime_at_all(self):
         m = np.array([2, 3, 4, 5, 100, 2, 1000])

@@ -45,7 +45,7 @@ def test_package_attributes():
     [
         (
             lambda t: build_spf(1000, memory_budget=1000),
-            "prime sieve over [2, 1000] needs 2002 bytes, budget is 1000",
+            "prime sieve over [2, 1000] needs 1001 bytes, budget is 1000",
         ),
         (
             # 2000 packed odd values self-convolve in a length-4096 FFT
@@ -53,14 +53,14 @@ def test_package_attributes():
             "FFT convolution of length 4096 needs 196608 bytes, budget is 1000",
         ),
         (
-            # 3 bytes per m and 2 isqrt(hi) of tiling
+            # 2 bytes per m and 2 isqrt(hi) of tiling
             lambda t: certify_block(2, 10_000, t, memory_budget=1000),
-            "certifying the block [2, 10000] needs 30197 bytes, budget is 1000",
+            "certifying the block [2, 10000] needs 20198 bytes, budget is 1000",
         ),
         (
-            # the 2 old bytes, the 10001 grown ones and the block's 30197
+            # the 2 old values, the 10001 grown ones and the block's 20198
             lambda t: VerdictTable(t, 1000).ensure(10_000),
-            "verdict table over [0, 10000] needs 40200 bytes, budget is 1000",
+            "verdict table over [0, 10000] needs 30201 bytes, budget is 1000",
         ),
     ],
     ids=["build_spf", "count_table", "certify_block", "VerdictTable.ensure"],

@@ -550,7 +550,7 @@ def test_pair_kernel_misses_take_the_fallback_or_fail(
     missed = tuple(
         n
         for n in range(lo, hi + 1, 2)
-        if goldbach._first_pair_y(n - 3, sparse.tobytes()) is None
+        if goldbach._first_pair_y(n - 3, sparse.data) is None
     )
     assert 0 < len(missed) < len(range(lo, hi + 1, 2))
     for first_witness_only in (False, True):
@@ -662,8 +662,12 @@ def test_certify_sweep_certifies_only_the_swept_n(
     assert blocks == [(lo, hi, 201)] * 4
 
 
-def _flip(data: bytes, i: int) -> bytes:
-    return data[:i] + bytes([1 - data[i]]) + data[i + 1 :]
+def _flip(mask: np.ndarray, i: int) -> np.ndarray:
+    """A read-only copy of a primality mask with entry i negated."""
+    out = mask.copy()
+    out[i] = not out[i]
+    out.flags.writeable = False
+    return out
 
 
 def test_certify_sweep_flags_a_wrong_verdict(monkeypatch):
@@ -683,6 +687,6 @@ def test_certify_sweep_flags_a_wrong_verdict(monkeypatch):
         assert report.failures == (n,)
         assert (n, 0, "Composite") in report.per_n
     # a sieve that agrees with the wrong verdict is caught by the oracle alone
-    table.is_prime_bytes = _flip(table.is_prime_bytes, n)
+    table.is_prime_mask = _flip(table.is_prime_mask, n)
     assert run_sweep("certify", lo, hi, plain, table=table).failures == ()
     assert run_sweep("certify", lo, hi, checked, table=table).failures == (n,)
