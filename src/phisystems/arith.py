@@ -8,8 +8,8 @@ totient phi read one exact trial division, ``factorize``: the table's
 primes, then each odd d past the limit, until d * d exceeds the
 unfactored part.
 
-``MemoryBudgetError`` is raised by one guard, ``_check_budget``, which the
-sieve, the FFT count convolution and the certification blocks all call.
+``_sieve_bytes`` is the sieve's byte rule; the sweep's memory budget adds
+it into its footprint before anything is built.
 
 Tables are immutable after construction (the sieve array is not
 writeable) and safe to share across threads or forked worker processes.
@@ -23,27 +23,10 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MEMORY_BUDGET",
-    "MemoryBudgetError",
     "PrimePi",
     "SpfTable",
     "build_spf",
 ]
-
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
-
-
-class MemoryBudgetError(Exception):
-    """A requested table would exceed the configured memory budget."""
-
-
-def _check_budget(needed: int, what: str, memory_budget: int) -> None:
-    """Raise MemoryBudgetError when ``what`` needs more than the budget."""
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"{what} needs {needed} bytes, budget is {memory_budget}"
-        )
-
 
 def _sieve_bytes(limit: int) -> int:
     """What build_spf(limit) holds at its peak: the bool array it crosses
@@ -174,11 +157,10 @@ class PrimePi:
         return int(self.cumulative[x])
 
 
-def build_spf(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpfTable:
+def build_spf(limit: int) -> SpfTable:
     """Sieve the primes in [2, limit]."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    _check_budget(_sieve_bytes(limit), f"prime sieve over [2, {limit}]", memory_budget)
     prime = np.ones(limit + 1, dtype=np.bool_)
     prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -12,8 +12,8 @@ verdicts of a whole block of m at once: m^(p-1) mod p depends only on the
 residue class of m mod p, so it evaluates the congruence once per class,
 p pows for the prime p, and gathers those p outcomes over every m of the
 block whose system contains p. A block is a read-only numpy bool array,
-the format of the sieve's primality too, and ``VerdictTable`` keeps one
-such array, grown by blocks.
+the format of the sieve's primality too; a block from 0 is a primality
+mask indexed by value, the verdict table of the congruence route.
 """
 
 import enum
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .arith import DEFAULT_MEMORY_BUDGET, SpfTable, _check_budget
+from .arith import SpfTable
 
 __all__ = [
     "Certificate",
     "CongruenceCheck",
     "Verdict",
-    "VerdictTable",
     "certify",
     "certify_block",
     "certify_verdict",
@@ -84,16 +83,20 @@ def fermat_congruence_holds(m: int, p: int) -> bool:
     return pow(m, p - 1, p) == 1
 
 
-def _scan_bound(m: int, table: SpfTable) -> int:
-    if m < 2:
-        raise ValueError(f"certification is defined for m >= 2, got {m}")
+def _check_reach(m: int, table: SpfTable) -> None:
     root = math.isqrt(m)
     if root > table.limit:
         raise ValueError(
             f"certifying {m} needs primes up to {root}, "
             f"beyond the table limit {table.limit}"
         )
-    return bisect_right(table.prime_list, root)
+
+
+def _scan_bound(m: int, table: SpfTable) -> int:
+    if m < 2:
+        raise ValueError(f"certification is defined for m >= 2, got {m}")
+    _check_reach(m, table)
+    return bisect_right(table.prime_list, math.isqrt(m))
 
 
 def certify_verdict(m: int, table: SpfTable) -> tuple[bool, int | None]:
@@ -130,36 +133,34 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
 
 
 def _block_bytes(lo: int, hi: int) -> int:
-    """Bytes certify_block(lo, hi) counts against the budget: the block,
-    one byte per m, and the tiling temporary, which is at most two periods
-    longer than the block."""
-    return 2 * (hi - lo + 1) + 2 * math.isqrt(hi)
+    """What certify_block(lo, hi) holds at its peak: the block, one byte per
+    m; the tiling temporary, at most two periods longer than the block; and
+    the moduli, at most isqrt(hi) / 2 + 1 int64 values."""
+    return 0 if lo > hi else 2 * (hi - lo + 1) + 8 * math.isqrt(hi)
 
 
-def certify_block(
-    lo: int, hi: int, table: SpfTable, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> np.ndarray:
+def certify_block(lo: int, hi: int, table: SpfTable) -> np.ndarray:
     """A read-only bool array over m in [lo, hi]: True where m certifies
     as prime.
 
-    Entry m - lo equals ``certify_verdict(m, table)[0]``. For each prime
-    p <= isqrt(hi) the congruence a^(p-1) == 1 (mod p) is evaluated once
-    for every residue class a in [0, p), by ``pow``; the p outcomes are
-    then tiled over m in [max(lo, p^2), hi], starting at the class of the
-    first such m, and folded into the block. An empty block (lo > hi) has
-    length 0.
+    Entry m - lo equals ``certify_verdict(m, table)[0]`` for m >= 2, and
+    0 and 1 are not prime, so a block from 0 is a mask indexed by value.
+    For each prime p <= isqrt(hi), read from the sieve's mask, the
+    congruence a^(p-1) == 1 (mod p) is evaluated once for every residue
+    class a in [0, p), by ``pow``; the p outcomes are then tiled over m in
+    [max(lo, p^2), hi], starting at the class of the first such m, and
+    folded into the block. An empty block (lo > hi) has length 0.
     """
+    if lo < 0:
+        raise ValueError(f"a block starts at lo >= 0, got {lo}")
     if lo > hi:
         empty = np.zeros(0, dtype=np.bool_)
         empty.flags.writeable = False
         return empty
-    _scan_bound(lo, table)  # m >= 2
-    bound = _scan_bound(hi, table)
-    _check_budget(
-        _block_bytes(lo, hi), f"certifying the block [{lo}, {hi}]", memory_budget
-    )
+    _check_reach(hi, table)
     block = np.ones(hi - lo + 1, dtype=np.bool_)
-    for p in table.prime_list[:bound]:
+    block[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in map(int, np.flatnonzero(table.is_prime_mask[: math.isqrt(hi) + 1])):
         holds = np.array([pow(a, p - 1, p) == 1 for a in range(p)], dtype=np.bool_)
         start = max(lo, p * p)  # p is in the system of m exactly when p^2 <= m
         width = hi - start + 1
@@ -171,39 +172,5 @@ def certify_block(
 
 
 class VerdictTable:
-    """Certification verdicts for every value up to a limit.
-
-    The table grows by blocks: ``ensure`` certifies the values past its
-    limit with one ``certify_block`` call, so each congruence is evaluated
-    once per residue class of the block rather than once per value. Range
-    sweeps over the Fermat route read it as their primality, rows and
-    count table alike. The verdicts are kept once, as ``verdicts``, a
-    read-only numpy bool array indexed by value (True where the value
-    certifies as prime), which each growth replaces by its concatenation
-    with the new block. Growth that would hold more than ``memory_budget``
-    bytes raises MemoryBudgetError before anything is allocated.
-    """
-
-    def __init__(self, table: SpfTable, memory_budget: int = DEFAULT_MEMORY_BUDGET):
-        self.table = table
-        self.memory_budget = memory_budget
-        self.verdicts = np.zeros(2, dtype=np.bool_)  # 0 and 1 are not prime
-        self.verdicts.flags.writeable = False
-
-    @property
-    def limit(self) -> int:
-        return len(self.verdicts) - 1
-
-    def ensure(self, limit: int) -> np.ndarray:
-        if limit > self.limit:
-            lo = len(self.verdicts)
-            # the old and the grown arrays coexist while they are joined
-            _check_budget(
-                lo + (limit + 1) + _block_bytes(lo, limit),
-                f"verdict table over [0, {limit}]",
-                self.memory_budget,
-            )
-            block = certify_block(lo, limit, self.table, memory_budget=self.memory_budget)
-            self.verdicts = np.concatenate((self.verdicts, block))
-            self.verdicts.flags.writeable = False
-        return self.verdicts
+    """Retired for ``certify_block(0, limit, table)``; the name stays, empty
+    and unexported, for benchmark/trace_layers.py, which looks it up."""

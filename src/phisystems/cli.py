@@ -4,9 +4,9 @@ Subcommands mirror the verification tasks; each sweeps [--from, --to] and
 writes exactly one report to stdout (or --out), with progress and summary
 lines on stderr only. Exit codes: 0 when the statement held, 1 when a
 failure was found, 2 on usage errors (an unwritable --out or
---emit-counts path among them), 3 when a table, or the checks of a single
-certificate, would exceed the memory budget (override with
-PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
+--emit-counts path among them), 3 when a sweep's footprint, or the sieve
+or the checks of a single certificate, would exceed the memory budget
+(override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
 """
 
 import argparse
@@ -21,11 +21,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .arith import DEFAULT_MEMORY_BUDGET, MemoryBudgetError, build_spf
-from .arith import _check_budget, _sieve_bytes
+from .arith import _sieve_bytes, build_spf
 from .certify import certify
-from .sweep import TASKS, FORMATS, SweepOptions, run_sweep
-from .sweep import _report_slices, _text_bytes
+from .sweep import DEFAULT_MEMORY_BUDGET, FORMATS, TASKS, MemoryBudgetError
+from .sweep import SweepOptions, _check_budget, _report_slices, _text_bytes, run_sweep
 
 __all__ = ["main"]
 
@@ -174,14 +173,13 @@ _CHECK_BYTES = 512
 def _single_certificate(args, budget: int) -> bytes:
     m = args.m
     # m < 2 still gets a table, so certify reports its own domain error
-    table = build_spf(math.isqrt(max(m, 4)), memory_budget=budget)
+    limit = math.isqrt(max(m, 4))
+    _check_budget([(_sieve_bytes(limit), f"prime sieve over [2, {limit}]")], budget)
+    table = build_spf(limit)
     # certify keeps one check per prime p <= isqrt(m), all held at once
     checks = int(np.count_nonzero(table.is_prime_mask[: math.isqrt(max(m, 0)) + 1]))
-    _check_budget(
-        _sieve_bytes(table.limit) + _CHECK_BYTES * checks,
-        f"the certificate of {m} with {checks} congruence checks",
-        budget,
-    )
+    what = f"the certificate of {m} with {checks} congruence checks"
+    _check_budget([(_sieve_bytes(limit) + _CHECK_BYTES * checks, what)], budget)
     return _certificate_bytes(certify(m, table, full_checks=True), args.format)
 
 

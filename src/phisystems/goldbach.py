@@ -16,7 +16,7 @@ ties the triple form back to the pair form at total n - 3.
 
 ``count_table`` gives the pair, triple or triple-with-3 count of every n
 up to a bound at once, from exact FFT convolutions of the odd values of a
-primality mask: the sieve's, or a verdict table's for the congruence form.
+primality mask: the sieve's, or a certify block for the congruence form.
 Sweeps in count mode read it; the per-n functions stay the reference it is
 tested against. A float convolution is accepted only when every value lies
 within 0.25 of an integer and the rounded values sum to the product of the
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DEFAULT_MEMORY_BUDGET, SpfTable, _check_budget
-from .certify import VerdictTable, certify_verdict
+from .arith import SpfTable
+from .certify import certify_verdict
 
 __all__ = [
     "BinaryWitness",
@@ -154,19 +154,22 @@ def substitution_bijection_check(n: int, table: SpfTable) -> bool:
 
 
 def fermat_system_solutions(
-    n: int, table: SpfTable, *, verdicts: VerdictTable | None = None
+    n: int, table: SpfTable, *, verdicts: np.ndarray | None = None
 ) -> list[int]:
     """All x in [0, n-3] where both n - x and n + x certify as prime.
 
     Each side runs the congruence system with its own bound: primes
-    p <= isqrt(n - x) and q <= isqrt(n + x). Passing a VerdictTable
-    reuses one certification per distinct value; without it every x
-    re-runs both systems directly. Range sweeps use ``count_table``.
+    p <= isqrt(n - x) and q <= isqrt(n + x). Passing verdicts, a
+    ``certify_block`` from 0 through at least 2n - 2, reuses one
+    certification per distinct value; without it every x re-runs both
+    systems directly. Range sweeps use ``count_table``.
     """
     if n <= 3:
         raise ValueError(f"defined for n > 3, got {n}")
     if verdicts is not None:
-        return np.nonzero(_pair_mask(2 * n, verdicts.ensure(2 * n - 2)))[0].tolist()
+        if len(verdicts) < 2 * n - 1:
+            raise ValueError(f"n = {n} needs verdicts through {2 * n - 2}")
+        return np.nonzero(_pair_mask(2 * n, verdicts))[0].tolist()
     out = []
     for x in range(0, n - 2):
         if certify_verdict(n - x, table)[0] and certify_verdict(n + x, table)[0]:
@@ -191,9 +194,8 @@ def _pair_count(s: int, mask: np.ndarray) -> int:
 
 def _first_pair_y(s: int, prime: memoryview) -> int | None:
     """Smallest y >= 0 with s/2 - y and s/2 + y both prime, s even >= 4;
-    prime is the buffer (``.data``) of a primality mask, the sieve's
-    is_prime_mask or a VerdictTable's verdicts, which indexes faster than
-    the array itself. A caller that scans many s takes it once."""
+    prime is the buffer (``.data``) of a primality mask, which indexes
+    faster than the array itself. A caller that scans many s takes it once."""
     m = s // 2
     if m == 2:
         return 0  # 4 = 2 + 2
@@ -216,8 +218,8 @@ def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     and an m takes about y / ln m probes. Each round takes one step for
     every m still open, and closes an m once it has its pair, once
     2m - r < 3 or once it runs out of primes. mask is any primality mask
-    reaching 2 max(m) - 3: the sieve's is_prime_mask, a VerdictTable's
-    verdicts or a certify block; the walked primes are its own.
+    reaching 2 max(m) - 3, the sieve's is_prime_mask or a certify block
+    from 0; the walked primes are its own.
     """
     m = np.asarray(m, dtype=np.int64)
     out = np.full(m.shape, -1, dtype=np.int64)
@@ -345,9 +347,7 @@ def first_peculiar_witness(n: int, table: SpfTable) -> TernaryWitness | None:
     return TernaryWitness(n=n, x=(n + 3) // 2, y=y, p=m - y, q=3, r=m + y)
 
 
-def _exact_convolution(
-    a: np.ndarray, b: np.ndarray, keep: int, memory_budget: int
-) -> np.ndarray:
+def _exact_convolution(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
     """The first ``keep`` terms of the linear convolution of two
     nonnegative integer arrays, as int64, from one float64 FFT.
 
@@ -357,9 +357,6 @@ def _exact_convolution(
     """
     size = len(a) + len(b) - 1
     length = 1 << (size - 1).bit_length()  # a power of two keeps the FFT fast
-    # the padded float64 input, two complex128 spectra (two float64 arrays
-    # each), the float64 inverse and its rounded copy, the int64 result
-    _check_budget(6 * 8 * length, f"FFT convolution of length {length}", memory_budget)
     spectrum = np.fft.rfft(a, length)
     spectrum *= spectrum if b is a else np.fft.rfft(b, length)
     values = np.fft.irfft(spectrum, length)[:size]
@@ -382,24 +379,29 @@ def _exact_convolution(
     return rounded[:keep].astype(np.int64)
 
 
-def count_table(
-    task: str,
-    hi: int,
-    mask: np.ndarray,
-    *,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> np.ndarray:
+def _count_table_bytes(task: str, hi: int) -> tuple[int, str]:
+    """What count_table(task, hi) holds at its peak, and what it is: 8 bytes
+    per n of counts, 17 per packed odd value (its byte, ordered and half)
+    and 36 per point of one FFT (ternary's second is as long), its result
+    included: at 2^20 to 2^24 points tracemalloc puts numpy's buffers at
+    20, and RSS grows by 32-33 with pocketfft's work space (numpy 2.4)."""
+    odd = hi if task == "binary" else (hi + 1) // 2
+    length = 1 << (2 * odd - 2).bit_length()  # as _exact_convolution picks it
+    nbytes = 8 * (hi + 1) + 17 * odd + 36 * length
+    return nbytes, f"FFT convolution of length {length}"
+
+
+def count_table(task: str, hi: int, mask: np.ndarray) -> np.ndarray:
     """The count of one task for every n <= hi, as an int64 array indexed by n.
 
     task "binary" gives binary_count(n) for n >= 2; "ternary" and
     "peculiar" give ternary_count(n) and peculiar_count(n) for odd n > 5.
-    Every other entry is 0. mask is the sieve's is_prime_mask or a
-    VerdictTable's verdicts, through 2 hi - 1 for "binary" and hi otherwise.
-    Only its odd values are read, packed so that index i holds 2i + 1. The
+    Every other entry is 0. mask is the sieve's is_prime_mask or a certify
+    block from 0, through 2 hi - 1 for "binary" and hi otherwise. Only its
+    odd values are read, packed so that index i holds 2i + 1. The
     self-convolution of that packed mask counts ordered odd-prime pairs of
     each even total; "ternary" convolves the pair counts with it once more.
-    Raises MemoryBudgetError before an FFT whose buffers would exceed
-    memory_budget, and ArithmeticError if a convolution is inexact.
+    Raises ArithmeticError if a convolution is inexact.
     """
     if task not in ("binary", "ternary", "peculiar"):
         raise ValueError(f"no count table for task {task!r}")
@@ -416,7 +418,7 @@ def count_table(
         return counts  # no eligible n, and no odd value to pack
     odd = mask[1 : top + 1 : 2].astype(np.uint8)  # odd[i]: is 2i + 1 prime
     # ordered[k] counts ordered odd-prime pairs of the total 2k + 2
-    ordered = _exact_convolution(odd, odd, len(odd), memory_budget)
+    ordered = _exact_convolution(odd, odd, len(odd))
     # half[a] counts splits 2a = p + r with p <= r prime: for a >= 3 both are
     # odd, and each pair p < r appears twice in ordered[a - 1]
     half = np.append(0, ordered)
@@ -427,7 +429,7 @@ def count_table(
         counts[2:] = half[2:]
     elif task == "ternary":
         # n = 2b + 1 sums half[b - j] over odd primes q = 2j + 1
-        counts[7::2] = _exact_convolution(half, odd, len(odd), memory_budget)[3:]
+        counts[7::2] = _exact_convolution(half, odd, len(odd))[3:]
     else:
         # n = 2b + 1; q = 3 branch: pair splits of n - 3 = 2(b - 1); p = 3
         # branch: ordered odd-prime pairs (q, r) of n - 3 whose q is not 3

@@ -49,12 +49,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import goldbach, oracle
-from .arith import DEFAULT_MEMORY_BUDGET, PrimePi, SpfTable, build_spf
-from .arith import _check_budget, _sieve_bytes
-from .certify import VerdictTable, certify_block
+from .arith import PrimePi, SpfTable, _sieve_bytes, build_spf
+from .certify import _block_bytes, certify_block
 
 __all__ = [
     "CSV_HEADER",
+    "DEFAULT_MEMORY_BUDGET",
+    "MemoryBudgetError",
     "RangeReport",
     "SweepOptions",
     "TASKS",
@@ -67,6 +68,21 @@ TASKS = ("certify", "bertrand", "binary", "ternary", "peculiar", "proposition")
 FORMATS = ("json", "csv", "table")
 CSV_HEADER = "n,witness_count,first_witness"
 _VERDICT_NAMES = ("Composite", "Prime")  # a certify row's x indexes these
+DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
+
+
+class MemoryBudgetError(Exception):
+    """A run would hold more than the configured memory budget."""
+
+
+def _check_budget(parts: list[tuple[int, str]], budget: int) -> None:
+    """Raise MemoryBudgetError, listing the parts, when the parts, (bytes,
+    what) pairs held at once, need more than the budget together."""
+    needed = sum(nbytes for nbytes, _ in parts)
+    if needed > budget:
+        *rest, last = [what for _, what in parts]
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise MemoryBudgetError(f"{listed} needs {needed} bytes, budget is {budget}")
 
 
 @dataclass(frozen=True)
@@ -299,33 +315,43 @@ class _Runtime(NamedTuple):
     counts: np.ndarray | None = None
 
 
-def _with_pi(task, rt, ns, hi, options):
-    if options.first_witness_only:
-        return rt
-    return rt._replace(pi=PrimePi.from_spf(rt.table))
+class _Table(NamedTuple):
+    """A table the rows read besides the sieve: its byte rule and how it is built."""
+
+    bytes: Callable  # (task, ns, hi, need) -> (bytes, what)
+    build: Callable  # (task, rt, ns, hi) -> rt with the table
+    counts_only: bool = True  # left unbuilt in first-witness mode
 
 
-def _with_counts(task, rt, ns, hi, options):
-    if options.first_witness_only:
-        return rt
-    counts = goldbach.count_table(
-        task, hi, rt.primes, memory_budget=options.memory_budget
-    )
-    return rt._replace(counts=counts)
-
-
-def _with_verdicts(task, rt, ns, hi, options):
-    # the congruence route reads verdicts, never the sieve; they reach
-    # 2 hi - 1, all that count_table reads, and a VerdictTable keeps the budget
-    verdicts = VerdictTable(rt.table, options.memory_budget)
-    rt = rt._replace(primes=verdicts.ensure(2 * hi - 1))
-    return _with_counts(task, rt, ns, hi, options)
-
-
-def _with_block(task, rt, ns, hi, options):
-    # the swept n only, so a narrow range high up certifies just that range
-    block = certify_block(ns.start, hi, rt.table, memory_budget=options.memory_budget)
-    return rt._replace(primes=block, base=ns.start)
+_PRIME_COUNTS = _Table(  # PrimePi keeps a uint32 running sum per value
+    lambda task, ns, hi, need: (4 * (need + 1), f"prime counts over [0, {need}]"),
+    lambda task, rt, ns, hi: rt._replace(pi=PrimePi.from_spf(rt.table)),
+)
+_COUNTS = _Table(
+    lambda task, ns, hi, need: goldbach._count_table_bytes(task, hi),
+    lambda task, rt, ns, hi: rt._replace(
+        counts=goldbach.count_table(task, hi, rt.primes)
+    ),
+)
+# the congruence route reads verdicts, never the sieve: a block from 0
+# through 2 hi - 1, all that count_table and the pair kernel read
+_VERDICTS = _Table(
+    lambda task, ns, hi, need: (
+        _block_bytes(0, 2 * hi - 1), f"verdict table over [0, {2 * hi - 1}]"
+    ),
+    lambda task, rt, ns, hi: rt._replace(primes=certify_block(0, 2 * hi - 1, rt.table)),
+    counts_only=False,
+)
+# the swept n only, so a narrow range high up certifies just that range
+_BLOCK = _Table(
+    lambda task, ns, hi, need: (
+        _block_bytes(ns.start, hi), f"certifying the block [{ns.start}, {hi}]"
+    ),
+    lambda task, rt, ns, hi: rt._replace(
+        primes=certify_block(ns.start, hi, rt.table), base=ns.start
+    ),
+    counts_only=False,
+)
 
 
 # A task's rows take one chunk ns and return whether each n's check held,
@@ -441,8 +467,12 @@ class _Task(NamedTuple):
     # n -> the name and value of the largest argument the oracle takes at
     # n, which ORACLE_LIMIT bounds; None when the oracle has no bound
     reach: Callable[[int], tuple[str, int]] | None
-    setup: Callable = lambda task, rt, ns, hi, options: rt  # adds the tables rows read
+    tables: tuple[_Table, ...] = ()  # built in order, each reading the last
     columns: int = 2  # int64 columns per row: count, x and, for triples, y
+    # the rows' bytes per n of a chunk (tracemalloc peaks over 10^5 n, with
+    # room for RSS), and hi -> the top of the primes they walk, if any
+    row_bytes: int = 0
+    walk: Callable[[int], int] = lambda hi: 0
 
 
 def _pairs(n):
@@ -455,40 +485,58 @@ def _triples(n):
 
 _SPECS = {
     "certify": _Task(
-        lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, _with_block
+        lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
+        row_bytes=24,
     ),
     "bertrand": _Task(
-        lambda hi: 2 * hi - 2,
-        4,
-        1,
-        _rows_bertrand,
-        _oracle_bertrand,
-        lambda n: ("limit", 2 * n - 3),
-        _with_pi,
+        lambda hi: 2 * hi - 2, 4, 1, _rows_bertrand, _oracle_bertrand,
+        lambda n: ("limit", 2 * n - 3), (_PRIME_COUNTS,),
+        row_bytes=64, walk=lambda hi: 2 * hi,
     ),
     "binary": _Task(
-        lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _pairs, _with_counts
+        lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _pairs, (_COUNTS,),
+        row_bytes=80, walk=lambda hi: 2 * hi,
     ),
     # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
-        lambda hi: math.isqrt(2 * hi),
-        4,
-        1,
-        _rows_binary,
-        _oracle_binary,
-        _pairs,
-        _with_verdicts,
+        lambda hi: math.isqrt(2 * hi), 4, 1, _rows_binary, _oracle_binary, _pairs,
+        (_VERDICTS, _COUNTS), row_bytes=80, walk=lambda hi: 2 * hi,
     ),
     "ternary": _Task(
-        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, _with_counts, 3
+        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, (_COUNTS,), 3,
+        row_bytes=88, walk=lambda hi: hi,
     ),
     "peculiar": _Task(
-        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, _with_counts, 3
+        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, (_COUNTS,), 3,
+        row_bytes=88, walk=lambda hi: hi,
     ),
     "proposition": _Task(
-        lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, columns=3
+        lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, (), 3,
+        row_bytes=88, walk=lambda hi: hi,
     ),
 }
+
+
+def _tables(spec: _Task, options: SweepOptions) -> list[_Table]:
+    return [t for t in spec.tables if not (options.first_witness_only and t.counts_only)]
+
+
+def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[int, str]]:
+    """What a sweep holds at its peak, as (bytes, what) parts: the sieve,
+    the report rows and the tables the rows read. The rows hold columns, a
+    chunk's temporaries in each worker, 24 bytes per walked prime (fewer
+    than 1.25506 x / ln x up to x, by Rosser and Schoenfeld; in integers,
+    as x may lie past the floats) and the writer's slice: per row, 4 bytes
+    per character, of at most 5d + 24 for d digits of hi, and 64 of digit
+    passes and masks."""
+    held = min(rows, rows // 16 + workers)  # chunks are rows / (16 workers) wide
+    walk = spec.walk(hi)
+    report = 8 * spec.columns * rows + spec.row_bytes * held
+    report += 24 * (walk * 125506 // int(100000 * math.log(walk)) + 1 if walk > 1 else 0)
+    report += min(rows, _ROW_SLICE) * (4 * (5 * len(str(hi)) + 24) + 64)
+    parts = [(_sieve_bytes(need), f"prime sieve over [2, {need}]")]
+    parts.append((report, f"{rows} report rows"))
+    return parts + [t.bytes(task, ns, hi, need) for t in _tables(spec, options)]
 
 
 def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
@@ -568,17 +616,16 @@ def run_sweep(
         oracle._refuse_past_limit(*spec.reach(ns[-1]))
     need = max(spec.sieve(hi), 4)
     rows = max(0, (hi - ns.start) // spec.step + 1)  # len(ns) stops at 2^63 - 1
-    _check_budget(
-        _sieve_bytes(need) + 8 * spec.columns * rows,
-        f"prime sieve over [2, {need}] and {rows} report rows",
-        options.memory_budget,
-    )
+    workers = _worker_count(options.threads)
+    parts = _footprint(task, spec, ns, hi, need, rows, workers, options)
+    _check_budget(parts, options.memory_budget)
     if table is None:
-        table = build_spf(need, memory_budget=options.memory_budget)
+        table = build_spf(need)
     elif table.limit < need:
         raise ValueError(f"table limit {table.limit} is below the required {need}")
-    rt = spec.setup(task, _Runtime(table.warm(), table.is_prime_mask), ns, hi, options)
-    workers = _worker_count(options.threads)
+    rt = _Runtime(table.warm(), table.is_prime_mask)
+    for t in _tables(spec, options):
+        rt = t.build(task, rt, ns, hi)
     chunks = _chunks(ns, workers)
     workers = min(workers, len(chunks))
     columns = [np.empty(rows, np.int64) for _ in range(spec.columns)]

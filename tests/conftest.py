@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import phisystems
 from phisystems.arith import PrimePi, build_spf
 from phisystems.bertrand import bertrand_count, first_bertrand_witness
 from phisystems.certify import certify_verdict
@@ -22,6 +26,28 @@ settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
 
 TABLE_LIMIT = 50_000
+
+
+def child_peak_rss(args, env=None):
+    """The exit code, peak RSS in bytes and stderr of ``python *args``.
+
+    A small parent process runs it and reads RUSAGE_CHILDREN, so that the
+    peak is the child's own: Linux carries a process's peak RSS across
+    exec, so a child started by the test process would report the test
+    process's peak whenever that is higher.
+    """
+    code = (
+        "import resource, subprocess, sys\n"
+        f"run = subprocess.run([sys.executable, *{list(args)!r}], stdout=subprocess.DEVNULL)\n"
+        "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(phisystems.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    returncode, kib = map(int, proc.stdout.split())
+    return returncode, 1024 * kib, proc.stderr  # ru_maxrss is in KiB on Linux
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +92,7 @@ def reference_rows(table):
             w = first_peculiar_witness(n, table)
             return int(proposition_check(n, table)), (w.x, w.y) if w else None
         if task == "binary" and via_fermat:
-            # without a VerdictTable every value is certified afresh
+            # without verdicts every value is certified afresh
             xs = fermat_system_solutions(n, table)
             return len(xs), xs[0] if xs else None
         count, witness = kernels[task]

@@ -18,7 +18,6 @@ from phisystems.arith import PrimePi, build_spf
 from phisystems.bertrand import bertrand_count, bertrand_solutions, count_identity_check
 from phisystems.certify import (
     Verdict,
-    VerdictTable,
     certify,
     certify_block,
     certify_verdict,
@@ -122,8 +121,7 @@ def test_criterion_2_bertrand_count_identity(table, pi):
 
 def test_criterion_3_binary_form_agreement(table):
     """Sieve route, congruence route, and the folded raw route coincide on [4, 1e4]."""
-    verdicts = VerdictTable(table)
-    verdicts.ensure(2 * FORM_AGREEMENT_LIMIT - 3)
+    verdicts = certify_block(0, 2 * FORM_AGREEMENT_LIMIT - 2, table)
     bad = []
     for n in range(4, FORM_AGREEMENT_LIMIT + 1):
         xs = [w.x for w in binary_solutions(n, table)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phisystems.arith import MemoryBudgetError, PrimePi, _sieve_bytes, build_spf
+from phisystems.arith import PrimePi, _sieve_bytes, build_spf
 
 from conftest import TABLE_LIMIT
 
@@ -98,8 +98,8 @@ class TestBuildSpf:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             build_spf(1)
-        with pytest.raises(MemoryBudgetError):
-            build_spf(10_000, memory_budget=128)
+        with pytest.raises(ValueError):
+            build_spf(-5)
 
 
 class TestNuPhi:

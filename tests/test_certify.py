@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phisystems.arith import MemoryBudgetError, build_spf
+from phisystems.arith import build_spf
 from phisystems.certify import (
     Verdict,
-    VerdictTable,
     _block_bytes,
     certify,
     certify_block,
@@ -131,45 +130,36 @@ class TestCertify:
 
 
 class TestVerdictTable:
+    """The verdict table of the congruence route: a certify block from 0,
+    a primality mask indexed by value."""
+
     def test_matches_direct_certification(self, table):
-        vt = VerdictTable(table)
-        arr = vt.ensure(500)
+        arr = certify_block(0, 500, table)
+        assert arr[:2].tolist() == [False, False]
         for m in range(2, 501):
             assert bool(arr[m]) == (certify(m, table).verdict is Verdict.PRIME)
 
     def test_grows_incrementally(self, table):
-        vt = VerdictTable(table)
-        views = []
-        for limit in (50, 200):
-            views.append(vt.ensure(limit))
-            # after each growth the table keeps one read-only bool array
-            assert views[-1] is vt.verdicts and not vt.verdicts.flags.writeable
-            assert vt.verdicts.dtype == np.bool_ and len(vt.verdicts) == limit + 1
-        first, arr = views
+        # a table through a higher limit extends the one through a lower
+        first, arr = (certify_block(0, limit, table) for limit in (50, 200))
+        for limit, verdicts in ((50, first), (200, arr)):
+            assert not verdicts.flags.writeable
+            assert verdicts.dtype == np.bool_ and len(verdicts) == limit + 1
         assert (arr[: len(first)] == first).all()
-        assert vt.limit == 200
-        assert vt.ensure(100) is arr  # no shrink, no rebuild
 
     def test_growth_in_blocks_matches_one_block(self, table):
-        grown = VerdictTable(table)
-        for limit in (3, 4, 97, 1_001, 9_999, 25_003, 40_001):
-            grown.ensure(limit)
-        once = VerdictTable(table)
-        once.ensure(40_001)
-        assert np.array_equal(grown.verdicts, once.verdicts)
-        assert np.array_equal(grown.verdicts, table.is_prime_mask[: 40_002])
-
-    def test_memory_budget_checked_before_growth(self, table):
-        vt = VerdictTable(table, memory_budget=10_000)
-        vt.ensure(1_000)
-        before = vt.verdicts
-        with pytest.raises(MemoryBudgetError, match="budget"):
-            vt.ensure(5_000)
-        assert vt.verdicts is before and vt.limit == 1_000
+        ends = (-1, 3, 4, 97, 1_001, 9_999, 25_003, 40_001)
+        grown = np.concatenate(
+            [certify_block(lo + 1, hi, table) for lo, hi in zip(ends, ends[1:])]
+        )
+        once = certify_block(0, 40_001, table)
+        assert np.array_equal(grown, once)
+        assert np.array_equal(once, table.is_prime_mask[: 40_002])
 
 
 def _per_m(lo, hi, table):
-    return [certify_verdict(m, table)[0] for m in range(lo, hi + 1)]
+    # 0 and 1 are not prime
+    return [m >= 2 and certify_verdict(m, table)[0] for m in range(lo, hi + 1)]
 
 
 class TestCertifyBlock:
@@ -195,10 +185,10 @@ class TestCertifyBlock:
             assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table), (lo, hi)
 
     def test_small_starts_and_single_values(self, table):
-        for lo in (2, 3, 4):
+        for lo in (0, 1, 2, 3, 4):
             for hi in range(lo, 60):
                 assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table)
-        for m in (2, 3, 4, 9, 25, 49, 97, 7919, 999_983, 10**6, 1_018_081):
+        for m in (0, 1, 2, 3, 4, 9, 25, 49, 97, 7919, 999_983, 10**6, 1_018_081):
             assert certify_block(m, m, table).tolist() == _per_m(m, m, table)
         empty = certify_block(10, 9, table)
         assert empty.dtype == np.bool_ and empty.size == 0 and not empty.flags.writeable
@@ -213,8 +203,9 @@ class TestCertifyBlock:
         with pytest.raises(ValueError) as scalar_err:
             certify_verdict(hi + 1, small)
         assert str(block_err.value) == str(scalar_err.value)
-        with pytest.raises(ValueError, match="m >= 2"):
-            certify_block(1, 10, small)
+        assert certify_block(1, 10, small).tolist() == _per_m(1, 10, small)
+        with pytest.raises(ValueError, match="lo >= 0"):
+            certify_block(-1, 10, small)
 
     @pytest.mark.parametrize(
         "lo,hi", [(2, 10_000), (123_457, 130_000), (999_000, 10**6)]
@@ -235,23 +226,20 @@ class TestCertifyBlock:
         assert sorted(calls) == sorted((a, p - 1, p) for p in primes for a in range(p))
         assert got.tolist() == _per_m(lo, hi, table)
 
-    def test_memory_budget(self, table):
-        with pytest.raises(MemoryBudgetError, match="budget"):
-            certify_block(2, 100_000, table, memory_budget=100_000)
-        assert len(certify_block(2, 10_000, table, memory_budget=100_000)) == 9_999
-
-    def test_peak_within_the_count(self, table):
-        # the block, one byte per m, and one tiling temporary are what it
-        # holds at once; tracemalloc also sees a few hundred bytes of
-        # Python objects (a prime's residue list, the arrays' headers)
+    def test_peak_within_the_count(self):
+        # the block, one byte per m, one tiling temporary and the moduli
+        # are what it holds at once; tracemalloc also sees a few hundred
+        # bytes of Python objects (a prime's residue list, the arrays'
+        # headers). The moduli come from the mask: no prime list is built
         lo, hi = 2, 2_000_000
         counted = _block_bytes(lo, hi)
-        assert counted <= 2 * (hi - lo + 1) + 2 * math.isqrt(hi)
-        table.prime_list  # cached before tracing, as the sweeps have it
+        assert counted <= 2 * (hi - lo + 1) + 8 * math.isqrt(hi)
+        fresh = build_spf(math.isqrt(hi))
         tracemalloc.start()
         try:
-            certify_block(lo, hi, table)
+            certify_block(lo, hi, fresh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= counted + 1024, peak - counted
+        assert "prime_list" not in fresh.__dict__

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 
 from phisystems import cli, goldbach, sweep
+
+from conftest import child_peak_rss
 
 
 def run_cli(*args, env=None):
@@ -167,43 +171,55 @@ def test_memory_budget_exit_3():
 
 
 def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
-    # the sieve over [2, 1998], one byte per value in [0, 1998], and the
-    # report's two int64 columns of 997 rows are all this sweep counts
+    # the sieve over [2, 1998], one byte per value in [0, 1998], and 997
+    # report rows are all this sweep counts: two int64 columns, 64 bytes
+    # for each of the 63 n of a chunk, 24 for each of the at most 331
+    # primes up to 2000 it walks, and the writer's 240 bytes per row of
+    # 4-digit n
     args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
     args += ["--format", "csv"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(1999 + 16 * 997))
+    needed = 1999 + 16 * 997 + 64 * 63 + 24 * 331 + 240 * 997
+    assert needed == 269207
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(1998 + 16 * 997))
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
     assert capsys.readouterr().err == (
-        "error: prime sieve over [2, 1998] and 997 report rows needs 17951 bytes, "
-        "budget is 17950\n"
+        "error: prime sieve over [2, 1998] and 997 report rows needs 269207 bytes, "
+        "budget is 269206\n"
     )
 
 
 def test_report_columns_count_against_the_budget(monkeypatch, capsys):
     # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
-    # and the sieve over [2, 2001] count 23952 + 2002 bytes
+    # count 24 * 998 bytes of columns, 88 * 63 of chunk temporaries, 24 *
+    # 331 of walked primes and 240 * 998 of the writer's slice, and the
+    # sieve over [2, 2001] 2002 more
     args = ["ternary", "--from", "7", "--to", "2001", "--first-witness-only"]
     args += ["--format", "json"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "25954")
+    needed = 2002 + 24 * 998 + 88 * 63 + 24 * 331 + 240 * 998
+    assert needed == 278962
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
-    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "25953")
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
-    assert "998 report rows needs 25954 bytes" in capsys.readouterr().err
+    assert "998 report rows needs 278962 bytes" in capsys.readouterr().err
     # the 8 MB sieve fits 64 MiB, but not with the 64 MB of columns of
-    # 4 * 10^6 rows, which are refused before the sieve is built
+    # 4 * 10^6 rows, which are refused before the sieve is built; 250000 n
+    # a chunk at 80 bytes, the at most 631678 primes up to 8 * 10^6 and a
+    # writer's slice of 2^16 rows of 7-digit n at 300 bytes come on top
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
     args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
     assert call_main([*args, "--format", "csv"]) == 3
-    assert "3999999 report rows needs 71999985 bytes" in capsys.readouterr().err
+    needed = 8_000_001 + 16 * 3_999_999 + 80 * 250_000 + 24 * 631_678 + 300 * 2**16
+    assert f"3999999 report rows needs {needed} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -217,10 +233,31 @@ def test_sweep_of_2_63_rows_or_more_exit_3(monkeypatch, capsys, task, lo, hi, si
     assert call_main([task, "--from", str(lo), "--to", str(hi)]) == 3
     rows = hi - lo + 1
     assert rows >= 2**63
+    # the rows: two columns, a chunk's temporaries, the walked primes up to
+    # 2 hi for bertrand, and the writer's slice of 2^16 rows
+    chunk = rows // 16 + 1
+    writer = 2**16 * (4 * (5 * len(str(hi)) + 24) + 64)
+    if task == "certify":
+        report = 16 * rows + 24 * chunk + writer
+        table = 2 * rows + 8 * math.isqrt(hi), f"certifying the block [{lo}, {hi}]"
+    else:
+        walked = 2 * hi * 125506 // int(100000 * math.log(2 * hi)) + 1
+        report = 16 * rows + 64 * chunk + 24 * walked + writer
+        table = 4 * (sieve + 1), f"prime counts over [0, {sieve}]"
+    needed = sieve + 1 + report + table[0]
     assert capsys.readouterr().err == (
-        f"error: prime sieve over [2, {sieve}] and {rows} report rows needs "
-        f"{sieve + 1 + 16 * rows} bytes, budget is {2 << 30}\n"
+        f"error: prime sieve over [2, {sieve}], {rows} report rows and {table[1]} "
+        f"needs {needed} bytes, budget is {2 << 30}\n"
     )
+
+
+def test_sweep_past_the_floats_exit_3(monkeypatch, capsys):
+    # the footprint of a range ending near 10^400 is counted in integers
+    monkeypatch.delenv("PHISYSTEMS_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(sweep, "build_spf", _refuse)
+    for argv in (["bertrand", "--from", "4"], ["ternary", "--from", "7"]):
+        assert call_main([*argv, "--to", "1e400"]) == 3
+        assert capsys.readouterr().err.endswith(f" bytes, budget is {2 << 30}\n")
 
 
 def test_streamed_report_peak_rss(tmp_path):
@@ -240,21 +277,67 @@ def test_streamed_report_peak_rss(tmp_path):
     assert peak_mib < 150, peak_mib
 
 
+@pytest.mark.parametrize(
+    "args, lo, hi",
+    [
+        (["bertrand"], "4", "2e6"),
+        (["certify"], "2", "2e6"),
+        (["ternary"], "7", "2e6"),
+        (["binary", "--via-fermat"], "4", "1e6"),
+        (["binary", "--first-witness-only"], "2", "2e6"),
+    ],
+    ids=["bertrand", "certify", "ternary", "via-fermat", "first-witness"],
+)
+def test_exit_3_means_the_budget(args, lo, hi):
+    # the footprint a sweep reports is what it may add to the peak RSS of
+    # the same command on its first n alone; one byte less is refused
+    def run(budget, lo, hi):
+        argv = ["-m", "phisystems", *args, "--from", lo, "--to", hi, "--format", "csv"]
+        return child_peak_rss(argv, {"PHISYSTEMS_MEMORY_BUDGET": str(budget)})
+
+    code, _, err = run(1, lo, hi)
+    assert code == 3
+    needed = int(re.fullmatch(r"error: .* needs (\d+) bytes, budget is 1\n", err)[1])
+    _, alone, _ = run(1 << 40, lo, lo)
+    code, peak, _ = run(needed, lo, hi)
+    assert code == 0
+    assert peak <= alone + needed, (peak - alone, needed)
+    assert run(needed - 1, lo, hi)[0] == 3
+
+
+@pytest.mark.parametrize(
+    "budget, argv",
+    [
+        ("181M", ["bertrand", "--from", "4", "--to", "1e7"]),
+        ("340000000", ["certify", "--from", "2", "--to", "2e7"]),
+    ],
+)
+def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
+    # each of these ran to a peak RSS well past its budget while it counted
+    # only the sieve and the columns; now they are refused before the sieve
+    monkeypatch.setattr(sweep, "build_spf", _refuse)
+    monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", budget)
+    assert call_main([*argv, "--format", "csv"]) == 3
+    assert "report rows and" in capsys.readouterr().err
+
+
 def test_count_table_over_budget_exit_3():
-    # the sieve through 4000 takes 4 KB; the count table packs the 2000
-    # odd values below 4000 into a length-4096 FFT, 192 KiB of buffers
+    # the sieve and the rows of [2, 2000] take 540289 bytes; the count table
+    # packs the 2000 odd values below 4000 into a length-4096 FFT and adds
+    # 197464 bytes (see test_package), past a 600 KiB budget
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
-    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
+    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "600K"})
     assert proc.returncode == 3
     assert b"FFT" in proc.stderr and b"budget" in proc.stderr
-    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "100K"})
+    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "600K"})
     assert proc.returncode == 0
 
 
 def test_via_fermat_verdict_table_over_budget_exit_3():
     # the route sieves only to isqrt(4 * 10^6), but its verdict table
-    # holds a byte for every value up to 2 hi - 1; eleven rows keep the
-    # report's columns far inside the budget
+    # holds a byte for every value up to 2 hi - 1, and a tiling temporary
+    # as long while it is built; eleven rows keep the report's columns far
+    # inside the budget
     proc = run_cli(
         "binary",
         "--via-fermat",

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from phisystems import goldbach
-from phisystems.arith import MemoryBudgetError
-from phisystems.certify import VerdictTable
+from phisystems.certify import certify_block
 from phisystems.goldbach import (
     binary_count,
     count_table,
@@ -14,6 +13,8 @@ from phisystems.goldbach import (
     ternary_count,
 )
 from phisystems.sweep import SweepOptions, emit_report, run_sweep
+
+from conftest import child_peak_rss
 
 BINARY_HI = 20_000
 TERNARY_HI = 2001
@@ -29,15 +30,15 @@ def test_binary_table_matches_per_n(table):
 
 
 def test_binary_table_over_verdicts_matches_fermat_route(table):
-    vt = VerdictTable(table)
-    counts = count_table("binary", BINARY_HI, vt.ensure(2 * BINARY_HI - 1))
+    verdicts = certify_block(0, 2 * BINARY_HI - 1, table)
+    counts = count_table("binary", BINARY_HI, verdicts)
     bad = [
         n
         for n in range(4, BINARY_HI + 1)
-        if counts[n] != len(fermat_system_solutions(n, table, verdicts=vt))
+        if counts[n] != len(fermat_system_solutions(n, table, verdicts=verdicts))
     ]
     assert bad == []
-    # without a VerdictTable every value is certified afresh, one n at a time
+    # without verdicts every value is certified afresh, one n at a time
     scalar = [len(fermat_system_solutions(n, table)) for n in range(4, 301)]
     assert counts[4:301].tolist() == scalar
 
@@ -96,13 +97,24 @@ def test_rejects_bad_arguments(table):
             count_table(task, hi, table.is_prime_mask[:top])
 
 
-def test_memory_budget(table):
-    # the 5000 odd values through 10^4 take a length-2^14 FFT, which counts
-    # 6 * 8 * 2^14 bytes of buffers
-    mask = table.is_prime_mask
-    with pytest.raises(MemoryBudgetError):
-        count_table("peculiar", 10_000, mask, memory_budget=6 * 8 * 2**14 - 1)
-    assert count_table("peculiar", 10_000, mask, memory_budget=6 * 8 * 2**14).any()
+def test_memory_budget():
+    # what the sweep's budget counts for a count table bounds the RSS it
+    # adds beside its mask; hi is just below a power of two for triples
+    # and half of one for pairs, where the FFT is shortest beside the
+    # arrays sized by hi
+    for task, hi in [
+        ("binary", 2**19 - 1001),
+        ("ternary", 2**20 - 1001),
+        ("peculiar", 2**20 - 1001),
+    ]:
+        mask = f"from phisystems import arith, goldbach; m = arith.build_spf({2 * hi})"
+        _, alone, _ = child_peak_rss(["-c", mask + ".is_prime_mask"])
+        code = f"{mask}.is_prime_mask; goldbach.count_table({task!r}, {hi}, m)"
+        _, peak, _ = child_peak_rss(["-c", code])
+        counted, what = goldbach._count_table_bytes(task, hi)
+        assert what == "FFT convolution of length 1048576"
+        # the convolution alone takes 32-33 bytes per point
+        assert 32 * 2**20 <= peak - alone <= counted, (task, peak - alone, counted)
 
 
 def test_inexact_convolution_raises(table, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phisystems import goldbach
-from phisystems.certify import VerdictTable
+from phisystems.certify import certify_block
 from phisystems.goldbach import (
     binary_count,
     binary_solutions,
@@ -160,11 +160,13 @@ class TestFermatSystem:
         ]
 
     def test_verdict_table_route_matches_direct(self, table):
-        vt = VerdictTable(table)
+        verdicts = certify_block(0, 2 * 399 - 2, table)  # values up to 2n - 2
         for n in range(4, 400):
-            assert fermat_system_solutions(n, table, verdicts=vt) == (
+            assert fermat_system_solutions(n, table, verdicts=verdicts) == (
                 fermat_system_solutions(n, table)
             )
+        with pytest.raises(ValueError, match="needs verdicts through 798"):
+            fermat_system_solutions(400, table, verdicts=verdicts)
 
 
 class TestTernary:
@@ -315,10 +317,10 @@ class TestPairBlock:
         assert got.tolist() == scalar_pair_ys(m.tolist(), table.is_prime_mask)
 
     def test_matches_the_scalar_scan_on_verdicts(self, table):
-        vt = VerdictTable(table)
+        verdicts = certify_block(0, 2 * 5000 - 3, table)
         m = np.arange(2, 5001)
-        got = first_pair_y_block(m, vt.ensure(2 * 5000 - 3))
-        assert got.tolist() == scalar_pair_ys(m.tolist(), vt.verdicts)
+        got = first_pair_y_block(m, verdicts)
+        assert got.tolist() == scalar_pair_ys(m.tolist(), verdicts)
 
     def test_any_order_and_misses(self, table):
         # a block need not be sorted or distinct; with no prime above 100

@@ -522,17 +522,22 @@ def test_block_rows_skip_per_n_scans(table, monkeypatch):
 
 
 def test_sieve_sweeps_leave_the_prime_list_unbuilt():
-    # the pair kernel, the proposition's other side and bertrand's rows take
-    # their primes from the mask; the Python prime list is left to certify,
-    # the via-fermat set-up, the ternary fallback and the arithmetic
-    for task in ("binary", "peculiar", "proposition", "bertrand"):
-        lo, hi = (2, 2000) if task == "binary" else (7, 2001)
+    # the pair kernel, the proposition's other side, bertrand's rows and the
+    # certify blocks, the via-fermat verdicts among them, take their primes
+    # from the mask; the Python prime list is left to the ternary fallback
+    # and the arithmetic
+    routes = ["binary", "peculiar", "proposition", "bertrand", "certify"]
+    for route in [*routes, "binary --via-fermat"]:
+        task = route.split()[0]
+        lo, hi = (2, 2000) if task in ("binary", "certify") else (7, 2001)
         for first_witness_only in (False, True):
             fresh = build_spf(2 * hi)
-            options = SweepOptions(first_witness_only=first_witness_only)
+            options = SweepOptions(
+                first_witness_only=first_witness_only, via_fermat=route != task
+            )
             report = run_sweep(task, lo, hi, options, table=fresh)
             assert report.failures == ()
-            assert "prime_list" not in fresh.__dict__, (task, first_witness_only)
+            assert "prime_list" not in fresh.__dict__, (route, first_witness_only)
 
 
 def test_pair_kernel_misses_take_the_fallback_or_fail(
