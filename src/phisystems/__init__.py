@@ -8,6 +8,20 @@ independent brute-force oracles.
 The package exports exactly the names in each module's ``__all__``.
 """
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a helper thread per extra CPU as it loads, and the
+# thread spins in every process although no code here calls BLAS. So numpy's
+# first load gets one BLAS thread, unless the caller has chosen a count.
+_BLAS_THREADS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in _sys.modules and not _os.environ.keys() & _BLAS_THREADS:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from . import arith, bertrand, certify as _certify, goldbach, oracle, sweep
 from .arith import *
 from .bertrand import *

@@ -6,7 +6,9 @@ lines on stderr only. Exit codes: 0 when the statement held, 1 when a
 failure was found, 2 on usage errors (an unwritable --out or
 --emit-counts path among them), 3 when a sweep's footprint, or the sieve
 or the checks of a single certificate, would exceed the memory budget
-(override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M").
+(override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 +
+SIGPIPE), with no message, when the reader of the output closes it early,
+as ``| head`` does.
 """
 
 import argparse
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process that SIGPIPE ends
 
 
 _INT_DIGITS = 4300  # int() reads at most this many digits from a string
@@ -234,6 +237,13 @@ def main(argv=None) -> int:
         _write(parts, args.out, "report")
         if report is not None and args.emit_counts:
             _write(_report_slices(report, "counts"), args.emit_counts, "counts")
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more as it exits; send what is
+        # left to /dev/null, so that flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:  # an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

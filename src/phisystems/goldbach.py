@@ -464,7 +464,7 @@ def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
     mask = table.is_prime_mask
     primes = np.flatnonzero(mask[: int(np.max(rest, initial=0)) // 2 + 1])
     prev = 0
-    for p in primes.tolist():
+    for p in primes:
         rest -= p - prev
         prev = p
         open_ &= rest >= p

@@ -37,12 +37,10 @@ import contextlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -635,10 +633,14 @@ def run_sweep(
     try:
         with contextlib.ExitStack() as stack:
             chunk_map = map  # one worker: the chunks run in this process
-            if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-                ctx = multiprocessing.get_context("fork")
-                pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-                chunk_map = stack.enter_context(pool).map
+            if workers > 1:  # imported here, so a process that never forks skips them
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                if "fork" in multiprocessing.get_all_start_methods():
+                    ctx = multiprocessing.get_context("fork")
+                    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+                    chunk_map = stack.enter_context(pool).map
             parts = chunk_map(_chunk_entry, chunks)
             at = 0
             for done, (part, part_failures) in enumerate(parts, start=1):

@@ -148,6 +148,27 @@ def test_usage_errors_exit_2():
     assert run_cli("ternary", "--from", "7", "--to", "9", "--format", "yaml").returncode == 2
 
 
+@pytest.mark.parametrize("lines", [0, 1])
+def test_closed_stdout_exits_141_quietly(lines):
+    # the reader goes before the first write, or after one line as `| head -1`
+    # does, while 2*10^5 rows still fill the pipe; stdout buffered, as it is
+    # by default, so the interpreter flushes it once more at exit
+    argv = ["binary", "--from", "2", "--to", "200000", "--first-witness-only", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phisystems", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"n,witness_count,first_witness\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()  # neither an error line nor "Exception ignored"
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("flag", ["--out", "--emit-counts"])
 def test_unwritable_output_path_exits_2(tmp_path, flag):
     path = tmp_path / "missing" / "x.csv"

@@ -1,4 +1,5 @@
-"""The package surface and the memory-budget footprint of each route."""
+"""The package surface, what importing it and running one command leave
+behind, and the memory-budget footprint of each route."""
 
 import importlib
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phisystems
@@ -25,16 +27,73 @@ def test_package_exports_the_module_lists():
     assert phisystems.certify is certify_module.certify
 
 
-def test_package_attributes():
-    # a fresh interpreter, so that submodules other tests import (cli) do
-    # not show up as package attributes
-    code = "import phisystems; print(*(n for n in dir(phisystems) if n[0] != '_'))"
-    env = {**os.environ, "PYTHONPATH": str(Path(phisystems.__file__).parents[1])}
+def fresh_python(code: str, **env: str | None) -> str:
+    """The stdout of ``python -c code`` in a new interpreter that imports
+    this phisystems, with env laid over this process's environment; a value
+    of None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(phisystems.__file__).parents[1]), **env}
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
+    return proc.stdout
+
+
+def test_package_attributes():
+    # a fresh interpreter, so that submodules other tests import (cli) do
+    # not show up as package attributes
+    out = fresh_python("import phisystems; print(*(n for n in dir(phisystems) if n[0] != '_'))")
     modules = ["arith", "bertrand", "goldbach", "oracle", "sweep"]
-    assert sorted(proc.stdout.split()) == sorted(phisystems.__all__ + modules)
+    assert sorted(out.split()) == sorted(phisystems.__all__ + modules)
+
+
+def test_one_worker_sweep_imports_no_pool_modules():
+    code = (
+        "import sys\n"
+        "from phisystems import cli\n"
+        f"argv = ['binary', '--from', '2', '--to', '3000', '--out', {os.devnull!r}]\n"
+        "assert cli.main([*argv, '--threads', '1']) == 0\n"
+        "print(*sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert fresh_python(code).split() == []
+
+
+# Each case: what the caller set, and the threads OpenBLAS then runs on 2 CPUs
+BLAS_CALLERS = [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)]
+NO_BLAS_SETTING = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("caller", [caller for caller, _ in BLAS_CALLERS])
+def test_import_leaves_the_environment_as_found(caller):
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import phisystems\n"
+        "print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    out = fresh_python(code, **{**NO_BLAS_SETTING, **caller})
+    assert out.split() == ["True", caller.get("OPENBLAS_NUM_THREADS", "None")]
+
+
+def _openblas_numpy() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not _openblas_numpy() or len(os.sched_getaffinity(0)) < 2,
+    reason="counts OpenBLAS threads in /proc, with an OpenBLAS numpy on 2 or more CPUs",
+)
+@pytest.mark.parametrize(("caller", "threads"), BLAS_CALLERS)
+def test_import_runs_openblas_on_one_thread(caller, threads):
+    code = "import os, {}; print(len(os.listdir('/proc/self/task')))"
+    env = {**NO_BLAS_SETTING, **caller}
+    # numpy alone starts a helper thread, so the count shows the package's effect
+    assert int(fresh_python(code.format("numpy"), **env)) >= 2
+    assert int(fresh_python(code.format("phisystems"), **env)) == threads
 
 
 # Each route's footprint, counted before anything is built. A report row

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import random
@@ -601,7 +602,8 @@ def test_one_worker_runs_its_chunks_in_process(table, monkeypatch):
         raise AssertionError("a one-worker sweep started a pool")
 
     drawn = []
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    # run_sweep imports the pool class where it forks, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(sweep, "_progress", lambda done, total: drawn.append(done))
     run_sweep("binary", 2, 1000, SweepOptions(first_witness_only=True), table=table)
     assert drawn == list(range(1, 17))
