@@ -26,6 +26,8 @@ input sums, an exact integer identity; otherwise it raises, with no fallback.
 block at once: each m walks the primes r >= m of its mask upward and
 tests whether 2m - r is prime, so the minimal offset y = r - m takes
 about y / ln m probes, and the rounds drop each m once it is resolved.
+The walk reads the primes of a window a margin past the block, and walks
+any m that runs out of them again over a wider one.
 Sweeps read their pair and triple first witnesses from it, and the scalar
 scans (``first_binary_witness``, ``first_peculiar_witness``,
 ``two_prime_sum_exists``) stay the reference it is tested against.
@@ -209,41 +211,64 @@ def _first_pair_y(s: int, prime: memoryview) -> int | None:
     return None
 
 
+# The window a pair walk reads past its largest m: the largest first-pair
+# offset y up to 10^7 is 2352, so below 10^7 no m is retried
+_PAIR_MARGIN = 1 << 12
+
+
 def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The smallest y >= 0 with m - y and m + y both prime, for every m >= 2
     of an array, or -1 where there is none, as int64.
 
     The block form of the scan behind the first witnesses: each m walks the
     primes r >= m upward and tests whether 2m - r is prime too, so y = r - m
-    and an m takes about y / ln m probes. Each round takes one step for
-    every m still open, and closes an m once it has its pair, once
-    2m - r < 3 or once it runs out of primes. mask is any primality mask
-    reaching 2 max(m) - 3, the sieve's is_prime_mask or a certify block
-    from 0; the walked primes are its own.
+    and an m takes about y / ln m probes. The walk reads the primes in
+    [min m, max m + _PAIR_MARGIN); an m whose walk runs out of them before
+    it closes is walked again over a margin eight times wider, until the
+    window reaches 2 max(m) - 3, past which no m has a pair. mask is any
+    primality mask reaching as far as the walks read, 2 max(m) - 3 at
+    most: the sieve's is_prime_mask or a certify block from 0; the walked
+    primes are its own.
     """
     m = np.asarray(m, dtype=np.int64)
     out = np.full(m.shape, -1, dtype=np.int64)
     out[m == 2] = 0  # 4 = 2 + 2
     at = np.flatnonzero(m > 2)
-    if not at.size:
-        return out
-    m = m[at]
+    margin = _PAIR_MARGIN
+    while at.size:
+        end = _pair_walk(m if at.size == m.size else m[at], at, mask, margin, out)
+        # an m without a pair whose candidates r <= 2m - 3 reach past the
+        # window has run out of primes: it is retried, never guessed
+        at = at[(out[at] < 0) & (2 * m[at] - 2 > end)]
+        margin *= 8
+    return out
+
+
+def _pair_walk(m, at, mask, margin, out) -> int:
+    """Walk every m > 2 over the primes of mask in [min m, end), where end
+    = min(max m + margin, 2 max(m) - 2), and write each pair's y into out
+    at the m's place in at; return end. Each round takes one step for
+    every m still open, and closes an m once it has its pair, once
+    2m - r < 3 or once it runs out of primes."""
     first, top = int(m.min()), 2 * int(m.max()) - 2
-    # the primes an m can reach, m <= r <= 2m - 3, then top: 2m - top < 3
-    # for every m, so a walk that runs out of primes closes there
-    primes = np.append(np.flatnonzero(mask[first:top]) + first, top)
+    end = min(int(m.max()) + margin, top)
+    # the walked primes, then top: 2m - top < 3 for every m, so a walk that
+    # runs out of primes closes there
+    primes = np.append(np.flatnonzero(mask[first:end]) + first, top)
     k = np.searchsorted(primes, m)  # the index of the first prime r >= m
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
     while True:
         r = primes.take(k)
-        lo = 2 * m - r
+        lo = m - r
+        lo += m
         open_ &= lo >= 3  # y <= m - 3
         left = np.count_nonzero(open_)
         if 2 * left <= open_.size:  # also when no m is left open
             out[at[found]] = r[found] - m[found]
             if not left:
-                return out
+                return end
+            del r  # not held beside the compacted arrays
             at, m, k, lo, open_, found = _compact(open_, at, m, k, lo, open_, found)
         # a closed m may point outside the mask; its lookup is discarded
         hit = mask.take(lo, mode="clip")
@@ -452,6 +477,21 @@ def two_prime_sum_exists(total: int, table: SpfTable) -> bool:
     return False
 
 
+# The first block of primes _two_prime_sums flattens; each next block is
+# eight times wider. Nearly every total closes on a prime below it.
+_SUM_BLOCK = 1 << 12
+
+
+def _primes_below(mask: np.ndarray, stop: int):
+    """The primes of mask below stop, ascending, flattened a block at a
+    time from _SUM_BLOCK values on, each block eight times wider."""
+    lo, width = 0, _SUM_BLOCK
+    while lo < stop:
+        hi = min(lo + width, stop)
+        yield from np.flatnonzero(mask[lo:hi]) + lo
+        lo, width = hi, 8 * width
+
+
 def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
     """two_prime_sum_exists for every total of an array, by rounds over the
     primes up to max(totals) / 2: round p tests whether total - p is prime
@@ -462,9 +502,8 @@ def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
     mask = table.is_prime_mask
-    primes = np.flatnonzero(mask[: int(np.max(rest, initial=0)) // 2 + 1])
     prev = 0
-    for p in primes:
+    for p in _primes_below(mask, int(np.max(rest, initial=0)) // 2 + 1):
         rest -= p - prev
         prev = p
         open_ &= rest >= p

@@ -12,8 +12,9 @@ A task's rows take a whole chunk of n at once and come from array passes
 over it: the first pair witnesses from ``goldbach.first_pair_y_block``
 (at m = n for pairs, at m = (n - 3) / 2 for triples, whose first middle
 prime is 3), which walks each m over the mask's primes r >= m until
-2m - r is prime too, about y / ln m probes for an offset y; bertrand's
-next prime and prime count from ``searchsorted`` on the chunk's primes;
+2m - r is prime too, about y / ln m probes for an offset y, reading a
+window a margin past the chunk; bertrand's next prime and prime count
+from ``searchsorted`` on the chunk's primes and a window below 2n - 2;
 and the certify rows from comparing the block with the sieve. Only a
 ternary n without a q = 3 witness, and the oracle check of
 --verify-against-oracle, are handled one n at a time.
@@ -25,12 +26,13 @@ One writer renders every format from the columns, a slice of rows at a
 time: digits come from integer division into a byte matrix, and a keep
 mask drops its unused places.
 
-A sweep cuts the eligible n into sixteen contiguous chunks per worker,
-runs the chunks in this process on one worker or on forked workers (at
-most one per usable CPU), and merges the columns in range order, so the
-report is identical for any worker count. For the same reason the JSON
-and CSV renderings carry no timing or parallelism information; elapsed
-time lives on the report object and in the human table format.
+A sweep cuts the eligible n into contiguous chunks of a fixed width, 2^17
+n, runs the chunks in this process on one worker or on forked workers (at
+most one per usable CPU and one per chunk, so a sweep of one chunk never
+forks), and merges the columns in range order, so the report is identical
+for any worker count. For the same reason the JSON and CSV renderings
+carry no timing or parallelism information; elapsed time lives on the
+report object and in the human table format.
 """
 
 import contextlib
@@ -364,17 +366,30 @@ def _rows_certify(ns, rt, options):
 
 
 def _rows_bertrand(ns, rt, options):
-    n = np.arange(ns.start, ns.stop)
-    # the primes p with ns.start < p < 2 max(ns) - 2, every one a row can read
-    primes = np.flatnonzero(rt.primes[ns.start + 1 : 2 * ns[-1] - 2]) + ns.start + 1
+    a, b = ns.start, ns[-1]
+    n = np.arange(a, b + 1)
+    mask, top = rt.primes, 2 * b - 2
+    # the next prime above b, from the stretch past the chunk (argmax stops
+    # at its first prime), or top when none lies below it; b >= 4
+    past = mask[b + 1 : top]
+    i = int(past.argmax())
+    beyond = b + 1 + i if past[i] else top
+    # the primes p with a < p <= b, then the next one
+    primes = np.append(np.flatnonzero(mask[a + 1 : b + 1]) + a + 1, beyond)
     after = np.searchsorted(primes, n, side="right")  # the first prime above n
-    below = np.searchsorted(primes, 2 * n - 2)  # the primes below 2n - 2
-    found = after < below
-    x = np.full_like(n, -1)
-    x[found] = primes[after[found]] - n[found]
+    x = primes[after] - n
+    found = x < n - 2  # that prime lies below 2n - 2
+    x[~found] = -1
     if options.first_witness_only:
         return found, (found.astype(np.int64), x)
-    count = below - after
+    # the primes in (n, 2n - 2) in three parts: the chunk's, those between
+    # the chunk and c = max(b + 1, 2a - 2), and those of a window [c, top);
+    # 2n - 2 lies in (b + 1, c) for no n of the chunk
+    c = max(b + 1, 2 * a - 2)
+    count = np.searchsorted(primes[:-1], 2 * n - 2) - after
+    del primes
+    count[2 * n - 2 > b + 1] += np.count_nonzero(mask[b + 1 : c])
+    count += np.searchsorted(np.flatnonzero(mask[c:top]) + c, 2 * n - 2)
     # the identity count_identity_check states, against PrimePi's running sums
     cumulative = rt.pi.cumulative
     ok = (count >= 1) & (count == cumulative[2 * n - 2] - cumulative[n])
@@ -468,13 +483,23 @@ class _Task(NamedTuple):
     tables: tuple[_Table, ...] = ()  # built in order, each reading the last
     columns: int = 2  # int64 columns per row: count, x and, for triples, y
     # the rows' bytes per n of a chunk (tracemalloc peaks over 10^5 n, with
-    # room for RSS), and hi -> the top of the primes they walk, if any
+    # room for RSS), and (n of a chunk, hi) -> the values spanned by the
+    # widest window of primes the chunk's rows walk, if any
     row_bytes: int = 0
-    walk: Callable[[int], int] = lambda hi: 0
+    walk: Callable[[int, int], int] = lambda width, hi: 0
 
 
 def _pairs(n):
     return "total", 2 * n
+
+
+def _pair_window(scale):
+    """The walk of first_pair_y_block over a chunk's width consecutive m:
+    its first window, a margin past them, in a prefix of scale * hi values
+    (the m of n up to hi lie below hi / scale, and their walks below
+    2 max(m) - 2). A retried m walks again after that window is freed, over
+    a wider margin that is not counted; below 10^7 no m is retried."""
+    return lambda width, hi: min(width + goldbach._PAIR_MARGIN, scale * hi)
 
 
 def _triples(n):
@@ -486,31 +511,33 @@ _SPECS = {
         lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
         row_bytes=24,
     ),
+    # the walk: the chunk's primes, then, not held with them, the primes of a
+    # window [c, 2 max(n) - 2) of at most 2 width values
     "bertrand": _Task(
         lambda hi: 2 * hi - 2, 4, 1, _rows_bertrand, _oracle_bertrand,
         lambda n: ("limit", 2 * n - 3), (_PRIME_COUNTS,),
-        row_bytes=64, walk=lambda hi: 2 * hi,
+        row_bytes=64, walk=lambda width, hi: min(2 * width, 2 * hi),
     ),
     "binary": _Task(
         lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _pairs, (_COUNTS,),
-        row_bytes=80, walk=lambda hi: 2 * hi,
+        row_bytes=80, walk=_pair_window(2),
     ),
     # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
         lambda hi: math.isqrt(2 * hi), 4, 1, _rows_binary, _oracle_binary, _pairs,
-        (_VERDICTS, _COUNTS), row_bytes=80, walk=lambda hi: 2 * hi,
+        (_VERDICTS, _COUNTS), row_bytes=80, walk=_pair_window(2),
     ),
     "ternary": _Task(
         lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, (_COUNTS,), 3,
-        row_bytes=88, walk=lambda hi: hi,
+        row_bytes=88, walk=_pair_window(1),
     ),
     "peculiar": _Task(
         lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, (_COUNTS,), 3,
-        row_bytes=88, walk=lambda hi: hi,
+        row_bytes=88, walk=_pair_window(1),
     ),
     "proposition": _Task(
         lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, (), 3,
-        row_bytes=88, walk=lambda hi: hi,
+        row_bytes=88, walk=_pair_window(1),
     ),
 }
 
@@ -522,15 +549,15 @@ def _tables(spec: _Task, options: SweepOptions) -> list[_Table]:
 def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[int, str]]:
     """What a sweep holds at its peak, as (bytes, what) parts: the sieve,
     the report rows and the tables the rows read. The rows hold columns, a
-    chunk's temporaries in each worker, 24 bytes per walked prime (fewer
-    than 1.25506 x / ln x up to x, by Rosser and Schoenfeld; in integers,
-    as x may lie past the floats) and the writer's slice: per row, 4 bytes
-    per character, of at most 5d + 24 for d digits of hi, and 64 of digit
-    passes and masks."""
-    held = min(rows, rows // 16 + workers)  # chunks are rows / (16 workers) wide
-    walk = spec.walk(hi)
-    report = 8 * spec.columns * rows + spec.row_bytes * held
-    report += 24 * (walk * 125506 // int(100000 * math.log(walk)) + 1 if walk > 1 else 0)
+    chunk's temporaries and one window of walked primes in each worker, 24
+    bytes per walked prime (fewer than 2w / ln w, plus the walk's end, in a
+    window of w values, by Montgomery and Vaughan's Brun-Titchmarsh bound),
+    and the writer's slice: per row, 4 bytes per character, of at most
+    5d + 24 for d digits of hi, and 64 of digit passes and masks."""
+    report = 8 * spec.columns * rows + spec.row_bytes * min(rows, _CHUNK * workers)
+    walk = spec.walk(min(rows, _CHUNK), hi)
+    if walk > 1:
+        report += 24 * workers * (int(2 * walk / math.log(walk)) + 1)
     report += min(rows, _ROW_SLICE) * (4 * (5 * len(str(hi)) + 24) + 64)
     parts = [(_sieve_bytes(need), f"prime sieve over [2, {need}]")]
     parts.append((report, f"{rows} report rows"))
@@ -567,11 +594,20 @@ def _worker_count(threads: int) -> int:
     return max(1, min(threads, cpus))
 
 
-def _chunks(ns: range, workers: int) -> list[range]:
-    """ns in sixteen contiguous chunks per worker, so a worker whose chunks
-    run cheap takes more while others finish, and progress shows on one."""
-    width = max(1, -(-len(ns) // (16 * workers)))
-    return [ns[i : i + width] for i in range(0, len(ns), width)]
+# A sweep cuts its n into contiguous chunks of _CHUNK n, the last perhaps
+# shorter, and runs on at most one worker per chunk. On a 2-vCPU guest a
+# pool of 2 forked workers costs 28-45 ms to import, fork and join, and
+# the pair-walk rows (binary, ternary, peculiar, proposition) cost
+# 0.34-0.43 us per n, 45-57 ms per 2^17 n near 10^6 (bertrand's cost 0.13
+# and certify's 0.01). One chunk of the costliest rows thus costs about
+# as much as the pool, so a sweep of one chunk runs in this process, and
+# the temporaries and walked primes of a chunk stay fixed as ranges grow.
+_CHUNK = 1 << 17
+
+
+def _chunks(ns: range) -> list[range]:
+    """ns in contiguous chunks of _CHUNK n, in order."""
+    return [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
 
 
 def _progress(done: int, total: int) -> None:
@@ -614,7 +650,7 @@ def run_sweep(
         oracle._refuse_past_limit(*spec.reach(ns[-1]))
     need = max(spec.sieve(hi), 4)
     rows = max(0, (hi - ns.start) // spec.step + 1)  # len(ns) stops at 2^63 - 1
-    workers = _worker_count(options.threads)
+    workers = min(_worker_count(options.threads), -(-rows // _CHUNK))  # one per chunk
     parts = _footprint(task, spec, ns, hi, need, rows, workers, options)
     _check_budget(parts, options.memory_budget)
     if table is None:
@@ -624,8 +660,7 @@ def run_sweep(
     rt = _Runtime(table.warm(), table.is_prime_mask)
     for t in _tables(spec, options):
         rt = t.build(task, rt, ns, hi)
-    chunks = _chunks(ns, workers)
-    workers = min(workers, len(chunks))
+    chunks = _chunks(ns)
     columns = [np.empty(rows, np.int64) for _ in range(spec.columns)]
     failures: list[int] = []
     global _WORKER_STATE

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 import phisystems
+from phisystems import sweep
 from phisystems.arith import PrimePi, build_spf
 from phisystems.bertrand import bertrand_count, first_bertrand_witness
 from phisystems.certify import certify_verdict
@@ -70,6 +72,30 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
     return set_count
+
+
+@pytest.fixture
+def pooled(usable_cpus, monkeypatch):
+    """pooled(k, width) makes this process appear to run on k CPUs and cuts
+    sweeps into chunks of width n, so that a sweep of a few thousand n runs
+    on a forked pool; it returns the list to which every pool started from
+    then on appends its worker count."""
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    # run_sweep imports the pool class where it forks, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+
+    def set_up(k, width):
+        usable_cpus(k)
+        monkeypatch.setattr(sweep, "_CHUNK", width)
+        return started
+
+    return set_up
 
 
 @pytest.fixture(scope="session")

@@ -203,13 +203,14 @@ def test_criterion_7_peculiar_proposition(table):
     )
 
 
-def test_criterion_8_determinism(table, usable_cpus):
+def test_criterion_8_determinism(table, pooled):
     """1-worker and 8-worker sweeps over [2, 1e4] are byte-identical JSON."""
-    usable_cpus(8)
+    started = pooled(8, 512)  # 9999 n in 20 chunks, so that 8 workers fork
     lo, hi = DETERMINISM_RANGE
     serial = run_sweep("binary", lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep("binary", lo, hi, SweepOptions(threads=8), table=table)
-    same = emit_report(serial, "json") == emit_report(pooled, "json")
+    parallel = run_sweep("binary", lo, hi, SweepOptions(threads=8), table=table)
+    same = emit_report(serial, "json") == emit_report(parallel, "json")
+    same &= started == [8]
     report("criterion 8: worker-count determinism on [2, 1e4]", same)
 
 

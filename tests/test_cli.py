@@ -194,52 +194,54 @@ def test_memory_budget_exit_3():
 def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
     # the sieve over [2, 1998], one byte per value in [0, 1998], and 997
     # report rows are all this sweep counts: two int64 columns, 64 bytes
-    # for each of the 63 n of a chunk, 24 for each of the at most 331
-    # primes up to 2000 it walks, and the writer's 240 bytes per row of
-    # 4-digit n
+    # for each n of its one chunk, 24 for each of the at most
+    # int(2 w / ln w) + 1 = 525 primes in its window of w = 1994 values, and
+    # the writer's 240 bytes per row of 4-digit n
     args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
     args += ["--format", "csv"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    needed = 1999 + 16 * 997 + 64 * 63 + 24 * 331 + 240 * 997
-    assert needed == 269207
+    needed = 1999 + 16 * 997 + 64 * 997 + 24 * 525 + 240 * 997
+    assert needed == 333639
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
     assert capsys.readouterr().err == (
-        "error: prime sieve over [2, 1998] and 997 report rows needs 269207 bytes, "
-        "budget is 269206\n"
+        "error: prime sieve over [2, 1998] and 997 report rows needs 333639 bytes, "
+        "budget is 333638\n"
     )
 
 
 def test_report_columns_count_against_the_budget(monkeypatch, capsys):
     # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
-    # count 24 * 998 bytes of columns, 88 * 63 of chunk temporaries, 24 *
-    # 331 of walked primes and 240 * 998 of the writer's slice, and the
-    # sieve over [2, 2001] 2002 more
+    # count 24 * 998 bytes of columns, 88 * 998 of chunk temporaries, 24 *
+    # 527 of walked primes (a window of the 2001 values the sieve holds)
+    # and 240 * 998 of the writer's slice, and the sieve over [2, 2001]
+    # 2002 more
     args = ["ternary", "--from", "7", "--to", "2001", "--first-witness-only"]
     args += ["--format", "json"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    needed = 2002 + 24 * 998 + 88 * 63 + 24 * 331 + 240 * 998
-    assert needed == 278962
+    needed = 2002 + 24 * 998 + 88 * 998 + 24 * 527 + 240 * 998
+    assert needed == 365946
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
-    assert "998 report rows needs 278962 bytes" in capsys.readouterr().err
+    assert "998 report rows needs 365946 bytes" in capsys.readouterr().err
     # the 8 MB sieve fits 64 MiB, but not with the 64 MB of columns of
-    # 4 * 10^6 rows, which are refused before the sieve is built; 250000 n
-    # a chunk at 80 bytes, the at most 631678 primes up to 8 * 10^6 and a
-    # writer's slice of 2^16 rows of 7-digit n at 300 bytes come on top
+    # 4 * 10^6 rows, which are refused before the sieve is built; a chunk
+    # of 2^17 n at 80 bytes, the 22883 primes bounding a window of
+    # 2^17 + 4096 values and a writer's slice of 2^16 rows of 7-digit n at
+    # 300 bytes come on top
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
     args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
     assert call_main([*args, "--format", "csv"]) == 3
-    needed = 8_000_001 + 16 * 3_999_999 + 80 * 250_000 + 24 * 631_678 + 300 * 2**16
+    needed = 8_000_001 + 16 * 3_999_999 + 80 * 2**17 + 24 * 22_883 + 300 * 2**16
     assert f"3999999 report rows needs {needed} bytes" in capsys.readouterr().err
 
 
@@ -254,16 +256,16 @@ def test_sweep_of_2_63_rows_or_more_exit_3(monkeypatch, capsys, task, lo, hi, si
     assert call_main([task, "--from", str(lo), "--to", str(hi)]) == 3
     rows = hi - lo + 1
     assert rows >= 2**63
-    # the rows: two columns, a chunk's temporaries, the walked primes up to
-    # 2 hi for bertrand, and the writer's slice of 2^16 rows
-    chunk = rows // 16 + 1
+    # the rows: two columns, the temporaries of one chunk of 2^17 n, for
+    # bertrand the primes of a window of 2^18 values, at most
+    # int(2 w / ln w) + 1 = 42022, and the writer's slice of 2^16 rows
+    chunk = 2**17
     writer = 2**16 * (4 * (5 * len(str(hi)) + 24) + 64)
     if task == "certify":
         report = 16 * rows + 24 * chunk + writer
         table = 2 * rows + 8 * math.isqrt(hi), f"certifying the block [{lo}, {hi}]"
     else:
-        walked = 2 * hi * 125506 // int(100000 * math.log(2 * hi)) + 1
-        report = 16 * rows + 64 * chunk + 24 * walked + writer
+        report = 16 * rows + 64 * chunk + 24 * 42_022 + writer
         table = 4 * (sieve + 1), f"prime counts over [0, {sieve}]"
     needed = sieve + 1 + report + table[0]
     assert capsys.readouterr().err == (
@@ -343,14 +345,14 @@ def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
 
 
 def test_count_table_over_budget_exit_3():
-    # the sieve and the rows of [2, 2000] take 540289 bytes; the count table
+    # the sieve and the rows of [2, 2000] take 698825 bytes; the count table
     # packs the 2000 odd values below 4000 into a length-4096 FFT and adds
-    # 197464 bytes (see test_package), past a 600 KiB budget
+    # 197464 bytes (see test_package), past an 800 KiB budget
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
-    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "600K"})
+    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "800K"})
     assert proc.returncode == 3
     assert b"FFT" in proc.stderr and b"budget" in proc.stderr
-    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "600K"})
+    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "800K"})
     assert proc.returncode == 0
 
 
@@ -396,7 +398,8 @@ def test_int_arg_notation():
 
 
 def test_threads_do_not_change_bytes():
-    base = ("binary", "--from", "2", "--to", "3000", "--format", "json")
+    # 399999 n: three chunks of 2^17 n and one of 6783, so 5 threads fork a pool
+    base = ("binary", "--from", "2", "--to", "400000", "--format", "json")
     one = run_cli(*base, "--threads", "1")
     many = run_cli(*base, "--threads", "5")
     assert one.returncode == many.returncode == 0

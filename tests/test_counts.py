@@ -142,12 +142,13 @@ def test_miscounted_convolution_raises(table, monkeypatch):
     "task,lo,hi", [("binary", 2, 3000), ("ternary", 7, 601), ("peculiar", 7, 3001)]
 )
 def test_sweep_counts_match_per_n_on_any_worker_count(
-    table, reference_rows, usable_cpus, task, lo, hi
+    table, reference_rows, pooled, task, lo, hi
 ):
-    usable_cpus(2)
+    started = pooled(2, 64)  # 298 to 2999 n in 5 to 47 chunks
     serial = run_sweep(task, lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep(task, lo, hi, SweepOptions(threads=2), table=table)
-    assert emit_report(serial, "json") == emit_report(pooled, "json")
+    parallel = run_sweep(task, lo, hi, SweepOptions(threads=2), table=table)
+    assert started == [2]
+    assert emit_report(serial, "json") == emit_report(parallel, "json")
     assert list(serial.per_n) == reference_rows(task, lo, hi, SweepOptions())
     assert serial.failures == ()
 

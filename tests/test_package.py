@@ -58,6 +58,22 @@ def test_one_worker_sweep_imports_no_pool_modules():
     assert fresh_python(code).split() == []
 
 
+def test_sweep_of_one_chunk_on_two_threads_starts_no_worker():
+    # 2^17 - 1 rows on two usable CPUs are one chunk, run in this process:
+    # no pool module is imported, and no child process has ever ended
+    code = (
+        "import os, resource, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from phisystems import cli, sweep\n"
+        "assert sweep._worker_count(2) == 2\n"
+        f"argv = ['binary', '--from', '2', '--to', '131072', '--out', {os.devnull!r}]\n"
+        "assert cli.main([*argv, '--threads', '2', '--first-witness-only']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "print(*sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert fresh_python(code).split() == ["0"]
+
+
 # Each case: what the caller set, and the threads OpenBLAS then runs on 2 CPUs
 BLAS_CALLERS = [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)]
 NO_BLAS_SETTING = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
@@ -97,55 +113,55 @@ def test_import_runs_openblas_on_one_thread(caller, threads):
 
 
 # Each route's footprint, counted before anything is built. A report row
-# of d-digit n holds its int64 columns, the temporaries of the one chunk
-# of ceil(rows / 16) n held at a time, at the task's row bytes, and the
-# writer's slice at 4 (5d + 24) + 64 bytes; the walked primes below a top
-# t take 24 bytes each, for int(1.25506 t / ln t) + 1 of them.
+# of d-digit n holds its int64 columns, the temporaries of its chunk (one
+# chunk here, every row), at the task's row bytes, and the writer's slice
+# at 4 (5d + 24) + 64 bytes; the primes walked in a window of w values
+# take 24 bytes each, for int(2 w / ln w) + 1 of them.
 ROUTES = {
-    # 9999 rows: 16 * 9999 + 24 * 625 + 260 * 9999; the block: 2 * 9999
-    # and 8 * isqrt(10^4)
+    # 9999 rows: 16 * 9999 + 24 * 9999 + 260 * 9999, no walk; the block:
+    # 2 * 9999 and 8 * isqrt(10^4)
     "certify": (
         ["certify", "--from", "2", "--to", "10000"],
         "prime sieve over [2, 10000], 9999 report rows and certifying the block "
-        "[2, 10000] needs 2805523 bytes",
+        "[2, 10000] needs 3030499 bytes",
     ),
-    # 997 rows: 16 * 997 + 64 * 63 + 24 * 331 + 240 * 997 (primes to 2000);
+    # 997 rows: 16 * 997 + 64 * 997 + 24 * 525 + 240 * 997 (w = 1994);
     # PrimePi: 4 bytes for each of 0..1998
     "bertrand": (
         ["bertrand", "--from", "4", "--to", "1000"],
         "prime sieve over [2, 1998], 997 report rows and prime counts over [0, 1998] "
-        "needs 277203 bytes",
+        "needs 341635 bytes",
     ),
-    # 1999 rows: 16 * 1999 + 80 * 125 + 24 * 606 + 240 * 1999 (primes to
-    # 4000); the count table: 8 * 2001 + 17 * 2000 odd values + 36 * 4096
+    # 1999 rows: 16 * 1999 + 80 * 1999 + 24 * 965 + 240 * 1999 (w = 4000,
+    # the sieve); the count table: 8 * 2001 + 17 * 2000 odd values + 36 * 4096
     "binary": (
         ["binary", "--from", "2", "--to", "2000"],
         "prime sieve over [2, 4000], 1999 report rows and FFT convolution of length "
-        "4096 needs 737753 bytes",
+        "4096 needs 896289 bytes",
     ),
-    # 998 rows: 24 * 998 + 88 * 63 + 24 * 331 + 240 * 998 (primes to
-    # 2001); the count table: 8 * 2002 + 17 * 1001 odd values + 36 * 2048
+    # 998 rows: 24 * 998 + 88 * 998 + 24 * 527 + 240 * 998 (w = 2001); the
+    # count table: 8 * 2002 + 17 * 1001 odd values + 36 * 2048
     "ternary": (
         ["ternary", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 385723 bytes",
+        "2048 needs 472707 bytes",
     ),
     "peculiar": (
         ["peculiar", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 385723 bytes",
+        "2048 needs 472707 bytes",
     ),
     # the verdicts: 2 * 4000 + 8 * isqrt(3999) bytes, then the binary count
     # table over them; 1997 rows from n = 4
     "via-fermat": (
         ["binary", "--via-fermat", "--from", "4", "--to", "2000"],
         "prime sieve over [2, 63], 1997 report rows, verdict table over [0, 3999] "
-        "and FFT convolution of length 4096 needs 741808 bytes",
+        "and FFT convolution of length 4096 needs 900184 bytes",
     ),
     # no count table
     "first-witness": (
         ["binary", "--from", "2", "--to", "2000", "--first-witness-only"],
-        "prime sieve over [2, 4000] and 1999 report rows needs 540289 bytes",
+        "prime sieve over [2, 4000] and 1999 report rows needs 698825 bytes",
     ),
 }
 

@@ -4,6 +4,7 @@ import os
 import random
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -363,13 +364,15 @@ def test_emit_counts(table):
     ]
 
 
-def test_deterministic_across_worker_counts(table, usable_cpus):
-    usable_cpus(4)
+def test_deterministic_across_worker_counts(table, pooled):
+    started = pooled(4, 256)  # 1999 n in 8 chunks
     lo, hi = 2, 2000
     serial = run_sweep("binary", lo, hi, SweepOptions(threads=1), table=table)
-    pooled = run_sweep("binary", lo, hi, SweepOptions(threads=4), table=table)
-    assert emit_report(serial, "json") == emit_report(pooled, "json")
-    assert emit_report(serial, "csv") == emit_report(pooled, "csv")
+    assert started == []
+    parallel = run_sweep("binary", lo, hi, SweepOptions(threads=4), table=table)
+    assert started == [4]
+    assert emit_report(serial, "json") == emit_report(parallel, "json")
+    assert emit_report(serial, "csv") == emit_report(parallel, "csv")
 
 
 def test_domain_filtering(table):
@@ -446,10 +449,8 @@ MODES = {
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("route", [*TASKS, "binary --via-fermat"])
-def test_reports_match_per_n_functions(
-    table, reference_rows, usable_cpus, route, mode
-):
-    usable_cpus(2)
+def test_reports_match_per_n_functions(table, reference_rows, pooled, route, mode):
+    started = pooled(2, 16)  # 38 to 119 n in 3 to 8 chunks
     task = route.split()[0]
     lo, hi = SMALL_RANGES[task]
     options = replace(MODES[mode], via_fermat=route != task)
@@ -459,6 +460,7 @@ def test_reports_match_per_n_functions(
         for fmt in ("json", "csv"):
             expected = reference_bytes(task, lo, hi, rows, (), options.config(), fmt)
             assert emit_report(report, fmt) == expected
+    assert started == [2]
 
 
 WIDE_RANGES = {
@@ -477,9 +479,9 @@ WIDE_RANGES = {
 @pytest.mark.parametrize("first_witness_only", [False, True])
 @pytest.mark.parametrize("route", WIDE_RANGES)
 def test_block_rows_match_per_n_functions_wide(
-    table, reference_rows, usable_cpus, route, first_witness_only
+    table, reference_rows, pooled, route, first_witness_only
 ):
-    usable_cpus(2)
+    started = pooled(2, 64)  # 297 to 24999 n in 5 to 391 chunks
     task = route.split()[0]
     lo, hi = WIDE_RANGES[route]
     options = SweepOptions(
@@ -490,6 +492,7 @@ def test_block_rows_match_per_n_functions_wide(
         report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
         assert list(report.per_n) == expected
         assert report.failures == ()
+    assert started == [2]
 
 
 def test_block_rows_skip_per_n_scans(table, monkeypatch):
@@ -589,24 +592,35 @@ def test_worker_count_capped_at_usable_cpus(usable_cpus, monkeypatch):
 @pytest.mark.parametrize(
     "ns", [range(2, 2001), range(7, 5001, 2), range(7, 10, 2), range(9, 9)]
 )
-def test_chunks_split_the_range_in_order(ns):
-    for workers in (1, 2, 3, 8):
-        chunks = sweep._chunks(ns, workers)
+def test_chunks_split_the_range_in_order(ns, monkeypatch):
+    for width in (1, 2, 3, 64, 1 << 17):
+        monkeypatch.setattr(sweep, "_CHUNK", width)
+        chunks = sweep._chunks(ns)
         assert [n for chunk in chunks for n in chunk] == list(ns)
-        # several chunks per worker where the range has enough n
-        assert len(chunks) >= min(len(ns), 4 * workers)
+        # width n in every chunk but the last, which may be shorter
+        assert len(chunks) == -(-len(ns) // width)
+        assert all(len(chunk) == width for chunk in chunks[:-1])
 
 
-def test_one_worker_runs_its_chunks_in_process(table, monkeypatch):
+def test_one_worker_runs_its_chunks_in_process(table, usable_cpus, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker sweep started a pool")
+        raise AssertionError("a sweep started a pool")
 
     drawn = []
+    usable_cpus(2)
     # run_sweep imports the pool class where it forks, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(sweep, "_progress", lambda done, total: drawn.append(done))
-    run_sweep("binary", 2, 1000, SweepOptions(first_witness_only=True), table=table)
-    assert drawn == list(range(1, 17))
+    options = SweepOptions(first_witness_only=True)
+    # 999 n fit one chunk, on any worker count
+    for threads in (1, 2):
+        run_sweep("binary", 2, 1000, replace(options, threads=threads), table=table)
+        assert drawn == [1]
+        drawn.clear()
+    # one worker runs chunks of 400, 400 and 199 n here too
+    monkeypatch.setattr(sweep, "_CHUNK", 400)
+    run_sweep("binary", 2, 1000, options, table=table)
+    assert drawn == [1, 2, 3]
 
 
 def test_certify_rows(table):
@@ -642,10 +656,8 @@ def test_failure_invariants(table):
 HIGH = (10**6 - 200, 10**6)
 
 
-def test_certify_sweep_certifies_only_the_swept_n(
-    reference_rows, usable_cpus, monkeypatch
-):
-    usable_cpus(2)
+def test_certify_sweep_certifies_only_the_swept_n(reference_rows, pooled, monkeypatch):
+    started = pooled(2, 64)  # 201 n in 4 chunks
     blocks = []
     honest = sweep.certify_block
 
@@ -667,6 +679,7 @@ def test_certify_sweep_certifies_only_the_swept_n(
                 )
                 assert emit_report(report, fmt) == expected
     assert blocks == [(lo, hi, 201)] * 4
+    assert started == [2, 2]
 
 
 def _flip(mask: np.ndarray, i: int) -> np.ndarray:
@@ -697,3 +710,48 @@ def test_certify_sweep_flags_a_wrong_verdict(monkeypatch):
     table.is_prime_mask = _flip(table.is_prime_mask, n)
     assert run_sweep("certify", lo, hi, plain, table=table).failures == ()
     assert run_sweep("certify", lo, hi, checked, table=table).failures == (n,)
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return build_spf(2 * 10**6).warm()
+
+
+@pytest.mark.parametrize("lo, hi", [(4, 5000), (990_001, 1_000_000)])
+def test_windows_match_the_whole_prefix(wide_table, monkeypatch, lo, hi):
+    # each windowed kernel against the same kernel over the whole prefix, on
+    # the sieve and on a mask without the 2000 primes from lo up, whose m
+    # walk far and whose totals need large primes
+    sieve = wide_table.is_prime_mask
+    sparse = sieve.copy()
+    sparse[lo : lo + 2000] = False
+    sparse[:2000] = False
+    m = np.arange(lo, hi + 1)
+    totals = np.arange(lo | 1, hi + 1, 2) - 3
+    for mask in (sieve, sparse):
+        with monkeypatch.context() as patch:
+            patch.setattr(goldbach, "_PAIR_MARGIN", 2 * hi)
+            patch.setattr(goldbach, "_SUM_BLOCK", hi)
+            ys = goldbach.first_pair_y_block(m, mask)
+            sums = goldbach._two_prime_sums(totals, SimpleNamespace(is_prime_mask=mask))
+        # margins this small retry most of the top m, some of them many times
+        for margin in (1, 3, 100, goldbach._PAIR_MARGIN):
+            monkeypatch.setattr(goldbach, "_PAIR_MARGIN", margin)
+            assert np.array_equal(goldbach.first_pair_y_block(m, mask), ys)
+        for block in (1, 5, goldbach._SUM_BLOCK):
+            monkeypatch.setattr(goldbach, "_SUM_BLOCK", block)
+            got = goldbach._two_prime_sums(totals, SimpleNamespace(is_prime_mask=mask))
+            assert np.array_equal(got, sums)
+    # bertrand's rows: every prime below 2 hi - 2 searched at once
+    primes = np.flatnonzero(sieve[: 2 * hi - 2])
+    after = np.searchsorted(primes, m, side="right")
+    count = np.searchsorted(primes, 2 * m - 2) - after
+    x = np.where(count > 0, primes.take(after, mode="clip") - m, -1)
+    for width in (7, 1000, 1 << 17):  # a stretch between chunk and window at 7
+        monkeypatch.setattr(sweep, "_CHUNK", width)
+        for options in (SweepOptions(), SweepOptions(first_witness_only=True)):
+            report = run_sweep("bertrand", lo, hi, options, table=wide_table)
+            want = count if options == SweepOptions() else (count > 0).astype(np.int64)
+            assert np.array_equal(report.count, want)
+            assert np.array_equal(report.x, x)
+            assert report.failures == ()
