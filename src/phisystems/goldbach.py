@@ -23,11 +23,14 @@ within 0.25 of an integer and the rounded values sum to the product of the
 input sums, an exact integer identity; otherwise it raises, with no fallback.
 
 ``first_pair_y_block`` gives the first pair witness of every total 2m of a
-block at once: each m walks the primes r >= m of its mask upward and
-tests whether 2m - r is prime, so the minimal offset y = r - m takes
-about y / ln m probes, and the rounds drop each m once it is resolved.
-The walk reads the primes of a window a margin past the block, and walks
-any m that runs out of them again over a wider one.
+block at once, in two phases. On a run of consecutive m, as sweeps pass,
+an offset phase tries one offset y at a time on every m of a parity class,
+whose values m - y and m + y are two contiguous slices of the mask's odd
+values, as bitmap verifications sweep a whole segment of n (Oliveira e
+Silva, Herzog and Pardi). The few m it leaves open, and the smallest m,
+walk the primes r of the mask upward from there and test whether 2m - r
+is prime, about y / ln m probes for an offset y, reading a window a
+margin past the block, and again over a wider one if it runs out.
 Sweeps read their pair and triple first witnesses from it, and the scalar
 scans (``first_binary_witness``, ``first_peculiar_witness``,
 ``two_prime_sum_exists``) stay the reference it is tested against.
@@ -215,28 +218,51 @@ def _first_pair_y(s: int, prime: memoryview) -> int | None:
 # offset y up to 10^7 is 2352, so below 10^7 no m is retried
 _PAIR_MARGIN = 1 << 12
 
+# The offset phase stops once fewer than 1 in _PHASE_OPEN of a class is
+# open (checked every 8 steps), or after _PHASE_STEPS steps, the most a
+# uint8 step count holds. A class of 2^16 m up to 5 * 10^6 is 1/16 open
+# after 75-175 steps and 0.04-2 % open after 255. Over the chunks of 2^17 m
+# up to 5 * 10^6 (2-vCPU guest, best of 7), stopping at 1/8 open takes
+# 10-15 % longer than at 1/16, at 1/32 3-6 % less, and 127 steps take 30 %
+# longer than 255.
+_PHASE_OPEN = 16
+_PHASE_STEPS = 255
+# The phase takes the m from _PHASE_FROM up, where all _PHASE_STEPS offsets
+# keep m - y >= 3, and leaves the smaller m to the walk. A lower start would
+# cut the whole class at its smallest m's last offset: from 64 up, at 31
+# steps, and the first chunk of 2^17 m took 13 ms where it takes 6 ms.
+_PHASE_FROM = 2 * _PHASE_STEPS + 2
+
 
 def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The smallest y >= 0 with m - y and m + y both prime, for every m >= 2
     of an array, or -1 where there is none, as int64.
 
-    The block form of the scan behind the first witnesses: each m walks the
-    primes r >= m upward and tests whether 2m - r is prime too, so y = r - m
-    and an m takes about y / ln m probes. The walk reads the primes in
-    [min m, max m + _PAIR_MARGIN); an m whose walk runs out of them before
-    it closes is walked again over a margin eight times wider, until the
-    window reaches 2 max(m) - 3, past which no m has a pair. mask is any
-    primality mask reaching as far as the walks read, 2 max(m) - 3 at
-    most: the sieve's is_prime_mask or a certify block from 0; the walked
-    primes are its own.
+    The block form of the scan behind the first witnesses, in two phases.
+    When m is a run of consecutive integers, _offset_phase first tries each
+    offset y on every m >= _PHASE_FROM of one parity class at once, three
+    byte passes per step. The m it leaves open, the smaller m, and every m
+    of any other array, then walk from the offset y0 reached: each walks
+    the primes r >= m + y0 upward and tests whether 2m - r is prime too, so
+    y = r - m and an m takes about y / ln m probes. The walk reads the
+    primes in [min m, max m + _PAIR_MARGIN); an m whose walk runs out of
+    them before it closes is walked again over a margin eight times wider,
+    until the window reaches 2 max(m) - 3, past which no m has a pair.
+    mask is any primality mask reaching as far as the walks read,
+    2 max(m) - 3 at most: the sieve's is_prime_mask or a certify block
+    from 0; the walked primes are its own.
     """
     m = np.asarray(m, dtype=np.int64)
+    run = m.size and int(m[-1]) - int(m[0]) == m.size - 1 and (np.diff(m) == 1).all()
     out = np.full(m.shape, -1, dtype=np.int64)
     out[m == 2] = 0  # 4 = 2 + 2
-    at = np.flatnonzero(m > 2)
+    start = np.zeros(m.shape, dtype=np.int64)  # the offset each walk starts at
+    if run:
+        _offset_phase(m, mask, out, start)
+    at = np.flatnonzero((out < 0) & (m > 2))
     margin = _PAIR_MARGIN
     while at.size:
-        end = _pair_walk(m if at.size == m.size else m[at], at, mask, margin, out)
+        end = _pair_walk(m[at], start[at], at, mask, margin, out)
         # an m without a pair whose candidates r <= 2m - 3 reach past the
         # window has run out of primes: it is retried, never guessed
         at = at[(out[at] < 0) & (2 * m[at] - 2 > end)]
@@ -244,22 +270,60 @@ def first_pair_y_block(m: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_walk(m, at, mask, margin, out) -> int:
-    """Walk every m > 2 over the primes of mask in [min m, end), where end
-    = min(max m + margin, 2 max(m) - 2), and write each pair's y into out
-    at the m's place in at; return end. Each round takes one step for
-    every m still open, and closes an m once it has its pair, once
-    2m - r < 3 or once it runs out of primes."""
+def _offset_phase(m, mask, out, start) -> None:
+    """Try the offsets y upward on the consecutive m >= _PHASE_FROM, one
+    parity class at a time, and write into out the y of each m that closes,
+    into start the first offset not yet tried of each m left open.
+
+    In class c (m = c mod 2) y runs over 1 - c, 3 - c, ..., so that m - y
+    and m + y are odd. The class's m are m1, m1 + 2, ..., so at step s,
+    y = 1 - c + 2s, the values m - y are consecutive odd values, as are
+    m + y: two contiguous slices of odd, the mask's odd values from v_lo
+    copied once. Their AND closes an m; a uint8 counts the steps each m
+    stays open, so a closed m has y = 1 - c + 2 steps."""
+    skip = max(_PHASE_FROM - int(m[0]), 0)
+    if skip >= m.size:
+        return
+    y_top = 2 * _PHASE_STEPS - 1  # the largest offset tried
+    v_lo = (int(m[skip]) - y_top) | 1  # >= 3, the smallest odd value read
+    odd = mask[v_lo : int(m[-1]) + y_top + 1 : 2].copy()  # odd[i]: is v_lo + 2i prime
+    for i1 in range(skip, min(skip + 2, m.size)):
+        m1, w = int(m[i1]), (m.size - i1 + 1) // 2
+        c = m1 % 2
+        lo, hi = (m1 - (1 - c) - v_lo) // 2, (m1 + (1 - c) - v_lo) // 2
+        open_ = np.ones(w, dtype=np.bool_)
+        both = np.empty(w, dtype=np.bool_)
+        steps = np.zeros(w, dtype=np.uint8)
+        for s in range(_PHASE_STEPS):
+            np.bitwise_and(odd[lo - s : lo - s + w], odd[hi + s : hi + s + w], out=both)
+            np.greater(open_, both, out=open_)
+            steps += open_.view(np.uint8)
+            if s % 8 == 7 and _PHASE_OPEN * np.count_nonzero(open_) < w:
+                break
+        y = steps.astype(np.int64)
+        y *= 2
+        y += 1 - c
+        start[i1::2] = y
+        y[open_] = -1
+        out[i1::2] = y
+
+
+def _pair_walk(m, y0, at, mask, margin, out) -> int:
+    """Walk every m > 2 from r >= m + y0 over the primes of mask in
+    [min m, end), where end = min(max m + margin, 2 max(m) - 2), and write
+    each pair's y into out at the m's place in at; return end. Each round
+    takes one step for every m still open, and closes an m once it has its
+    pair, once 2m - r < 3 or once it runs out of primes."""
     first, top = int(m.min()), 2 * int(m.max()) - 2
     end = min(int(m.max()) + margin, top)
     # the walked primes, then top: 2m - top < 3 for every m, so a walk that
-    # runs out of primes closes there
+    # runs out of primes, or starts past them (y0 > m - 3), closes there
     primes = np.append(np.flatnonzero(mask[first:end]) + first, top)
-    k = np.searchsorted(primes, m)  # the index of the first prime r >= m
+    k = np.searchsorted(primes, m + y0)  # the first prime r >= m + y0
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
     while True:
-        r = primes.take(k)
+        r = primes.take(k, mode="clip")
         lo = m - r
         lo += m
         open_ &= lo >= 3  # y <= m - 3

@@ -11,9 +11,11 @@ over that mask.
 A task's rows take a whole chunk of n at once and come from array passes
 over it: the first pair witnesses from ``goldbach.first_pair_y_block``
 (at m = n for pairs, at m = (n - 3) / 2 for triples, whose first middle
-prime is 3), which walks each m over the mask's primes r >= m until
-2m - r is prime too, about y / ln m probes for an offset y, reading a
-window a margin past the chunk; bertrand's next prime and prime count
+prime is 3), which tries each offset y on the chunk's consecutive m of
+one parity at once, as three byte passes over two contiguous slices of
+the mask's odd values, then walks the few m left open over the mask's
+primes r >= m + y until 2m - r is prime too, reading a window a margin
+past the chunk; bertrand's next prime and prime count
 from ``searchsorted`` on the chunk's primes and a window below 2n - 2;
 and the certify rows from comparing the block with the sieve. Only a
 ternary n without a q = 3 witness, and the oracle check of
@@ -29,7 +31,7 @@ mask drops its unused places.
 A sweep cuts the eligible n into contiguous chunks of a fixed width, 2^17
 n, runs the chunks in this process on one worker or on forked workers (at
 most one per usable CPU and one per chunk, so a sweep of one chunk never
-forks), and merges the columns in range order, so the report is identical
+forks, nor does a certify sweep), and merges the columns in range order, so the report is identical
 for any worker count. For the same reason the JSON and CSV renderings
 carry no timing or parallelism information; elapsed time lives on the
 report object and in the human table format.
@@ -482,11 +484,13 @@ class _Task(NamedTuple):
     reach: Callable[[int], tuple[str, int]] | None
     tables: tuple[_Table, ...] = ()  # built in order, each reading the last
     columns: int = 2  # int64 columns per row: count, x and, for triples, y
-    # the rows' bytes per n of a chunk (tracemalloc peaks over 10^5 n, with
+    # the rows' bytes per n of a chunk (tracemalloc peaks over chunks of
+    # 2^17 n up to 10^7: 34 for pairs and triples, 54 for proposition, with
     # room for RSS), and (n of a chunk, hi) -> the values spanned by the
     # widest window of primes the chunk's rows walk, if any
     row_bytes: int = 0
     walk: Callable[[int, int], int] = lambda width, hi: 0
+    forks: bool = True  # whether its chunks may run on forked workers
 
 
 def _pairs(n):
@@ -507,9 +511,12 @@ def _triples(n):
 
 
 _SPECS = {
+    # a certify row is one comparison, cheaper than pickling its columns
+    # back from a worker: certify --from 2 --to 4e6 --format csv took 0.94 s
+    # on 1 worker and 1.14 s on 2 when it forked (median of 7, 2-vCPU guest)
     "certify": _Task(
         lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
-        row_bytes=24,
+        row_bytes=24, forks=False,
     ),
     # the walk: the chunk's primes, then, not held with them, the primes of a
     # window [c, 2 max(n) - 2) of at most 2 width values
@@ -520,24 +527,24 @@ _SPECS = {
     ),
     "binary": _Task(
         lambda hi: 2 * hi, 2, 1, _rows_binary, _oracle_binary, _pairs, (_COUNTS,),
-        row_bytes=80, walk=_pair_window(2),
+        row_bytes=48, walk=_pair_window(2),
     ),
     # certifying every value up to 2 hi - 1 needs no prime above isqrt(2 hi)
     "binary --via-fermat": _Task(
         lambda hi: math.isqrt(2 * hi), 4, 1, _rows_binary, _oracle_binary, _pairs,
-        (_VERDICTS, _COUNTS), row_bytes=80, walk=_pair_window(2),
+        (_VERDICTS, _COUNTS), row_bytes=48, walk=_pair_window(2),
     ),
     "ternary": _Task(
         lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, (_COUNTS,), 3,
-        row_bytes=88, walk=_pair_window(1),
+        row_bytes=48, walk=_pair_window(1),
     ),
     "peculiar": _Task(
         lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, (_COUNTS,), 3,
-        row_bytes=88, walk=_pair_window(1),
+        row_bytes=48, walk=_pair_window(1),
     ),
     "proposition": _Task(
         lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, (), 3,
-        row_bytes=88, walk=_pair_window(1),
+        row_bytes=64, walk=_pair_window(1),
     ),
 }
 
@@ -596,12 +603,13 @@ def _worker_count(threads: int) -> int:
 
 # A sweep cuts its n into contiguous chunks of _CHUNK n, the last perhaps
 # shorter, and runs on at most one worker per chunk. On a 2-vCPU guest a
-# pool of 2 forked workers costs 28-45 ms to import, fork and join, and
-# the pair-walk rows (binary, ternary, peculiar, proposition) cost
-# 0.34-0.43 us per n, 45-57 ms per 2^17 n near 10^6 (bertrand's cost 0.13
-# and certify's 0.01). One chunk of the costliest rows thus costs about
-# as much as the pool, so a sweep of one chunk runs in this process, and
-# the temporaries and walked primes of a chunk stay fixed as ranges grow.
+# pool of 2 forked workers costs 28-45 ms to import, fork and join. In
+# first-witness mode the pair rows cost 0.07 us per n (binary, ternary,
+# peculiar; proposition 0.15 with its two-prime sums), 9-19 ms per 2^17 n
+# near 10^6 (in process, best of 7; bertrand's rows cost 0.03, certify's
+# 0.001). One chunk of the costliest rows thus costs less than the pool,
+# so a sweep of one chunk runs in this process, and the temporaries and
+# walked primes of a chunk stay fixed as ranges grow.
 _CHUNK = 1 << 17
 
 
@@ -650,7 +658,8 @@ def run_sweep(
         oracle._refuse_past_limit(*spec.reach(ns[-1]))
     need = max(spec.sieve(hi), 4)
     rows = max(0, (hi - ns.start) // spec.step + 1)  # len(ns) stops at 2^63 - 1
-    workers = min(_worker_count(options.threads), -(-rows // _CHUNK))  # one per chunk
+    threads = options.threads if spec.forks else 1
+    workers = min(_worker_count(threads), -(-rows // _CHUNK))  # one per chunk
     parts = _footprint(task, spec, ns, hi, need, rows, workers, options)
     _check_budget(parts, options.memory_budget)
     if table is None:

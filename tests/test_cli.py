@@ -216,7 +216,7 @@ def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
 
 def test_report_columns_count_against_the_budget(monkeypatch, capsys):
     # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
-    # count 24 * 998 bytes of columns, 88 * 998 of chunk temporaries, 24 *
+    # count 24 * 998 bytes of columns, 48 * 998 of chunk temporaries, 24 *
     # 527 of walked primes (a window of the 2001 values the sieve holds)
     # and 240 * 998 of the writer's slice, and the sieve over [2, 2001]
     # 2002 more
@@ -224,24 +224,24 @@ def test_report_columns_count_against_the_budget(monkeypatch, capsys):
     args += ["--format", "json"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    needed = 2002 + 24 * 998 + 88 * 998 + 24 * 527 + 240 * 998
-    assert needed == 365946
+    needed = 2002 + 24 * 998 + 48 * 998 + 24 * 527 + 240 * 998
+    assert needed == 326026
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
-    assert "998 report rows needs 365946 bytes" in capsys.readouterr().err
+    assert "998 report rows needs 326026 bytes" in capsys.readouterr().err
     # the 8 MB sieve fits 64 MiB, but not with the 64 MB of columns of
     # 4 * 10^6 rows, which are refused before the sieve is built; a chunk
-    # of 2^17 n at 80 bytes, the 22883 primes bounding a window of
+    # of 2^17 n at 48 bytes, the 22883 primes bounding a window of
     # 2^17 + 4096 values and a writer's slice of 2^16 rows of 7-digit n at
     # 300 bytes come on top
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
     args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
     assert call_main([*args, "--format", "csv"]) == 3
-    needed = 8_000_001 + 16 * 3_999_999 + 80 * 2**17 + 24 * 22_883 + 300 * 2**16
+    needed = 8_000_001 + 16 * 3_999_999 + 48 * 2**17 + 24 * 22_883 + 300 * 2**16
     assert f"3999999 report rows needs {needed} bytes" in capsys.readouterr().err
 
 
@@ -345,7 +345,7 @@ def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
 
 
 def test_count_table_over_budget_exit_3():
-    # the sieve and the rows of [2, 2000] take 698825 bytes; the count table
+    # the sieve and the rows of [2, 2000] take 634857 bytes; the count table
     # packs the 2000 odd values below 4000 into a length-4096 FFT and adds
     # 197464 bytes (see test_package), past an 800 KiB budget
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")

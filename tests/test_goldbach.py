@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phisystems import goldbach
+from phisystems.arith import build_spf
 from phisystems.certify import certify_block
 from phisystems.goldbach import (
     binary_count,
@@ -345,6 +346,47 @@ class TestPairBlock:
         got = first_pair_y_block(m, sparse)
         assert got.tolist() == want.tolist()
         assert got.tolist() == scalar_pair_ys(m.tolist(), sparse)
+
+    # runs of consecutive m, the sweeps' blocks, from below, at and past the
+    # first m of the offset phase, and far above it
+    RUN_STARTS = [2, 3, 63, 64, 65, 510, 511, 512, 513, 4000, 4001, 20_000, 20_001]
+
+    @pytest.mark.parametrize("start", RUN_STARTS)
+    def test_runs_match_the_scalar_scan(self, table, start):
+        # the sieve, congruence verdicts, a mask without every other prime,
+        # whose classes stay open past the phase's last step, and one without
+        # the primes just above the run, whose m all resume the walk there
+        sieve = table.is_prime_mask
+        halved = sieve.copy()
+        halved[np.flatnonzero(sieve)[::2]] = False
+        masks = [sieve, certify_block(0, TABLE_LIMIT, table), halved]
+        for length in (1, 2, 3, 255, 2999):
+            m = np.arange(start, start + length)
+            gap = sieve.copy()
+            gap[start : start + length + 1100] = False
+            for mask in (*masks, gap):
+                got = first_pair_y_block(m, mask)
+                assert got.tolist() == scalar_pair_ys(m.tolist(), mask), (length, mask)
+            # with the gap, no m > 2 closes at the phase's offsets, up to
+            # 2 * _PHASE_STEPS - 1
+            assert ((got < 0) | (got > 2 * goldbach._PHASE_STEPS))[m > 2].all()
+
+    def test_runs_far_above(self):
+        sieve = build_spf(2 * 10**6).is_prime_mask
+        for start in (999_000, 999_001):
+            m = np.arange(start, start + 1000)
+            assert first_pair_y_block(m, sieve).tolist() == scalar_pair_ys(m.tolist(), sieve)
+
+    def test_tail_resumes_past_the_phase_and_retries(self, table):
+        # no prime in [10^4, 15400): every m of the run is open after the
+        # phase's 255 steps, and its walk finds no prime in its first window
+        # [10^4, 14496), so it walks again over a wider one to find y > 5000
+        sparse = table.is_prime_mask.copy()
+        sparse[10_000:15_400] = False
+        m = np.arange(10_000, 10_400)
+        got = first_pair_y_block(m, sparse)
+        assert got.tolist() == scalar_pair_ys(m.tolist(), sparse)
+        assert (got > 5000).all()
 
     def test_no_prime_at_all(self):
         m = np.array([2, 3, 4, 5, 100, 2, 1000])

@@ -74,6 +74,22 @@ def test_sweep_of_one_chunk_on_two_threads_starts_no_worker():
     assert fresh_python(code).split() == ["0"]
 
 
+def test_certify_sweep_on_two_threads_never_forks():
+    # 2^17 + 1 n on two usable CPUs are two chunks, but certify rows cost
+    # less than shipping them back from a worker: no pool module is imported
+    code = (
+        "import os, resource, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from phisystems import cli, sweep\n"
+        "assert sweep._worker_count(2) == 2\n"
+        f"argv = ['certify', '--from', '2', '--to', '131074', '--out', {os.devnull!r}]\n"
+        "assert cli.main([*argv, '--threads', '2']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "print(*sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert fresh_python(code).split() == ["0"]
+
+
 # Each case: what the caller set, and the threads OpenBLAS then runs on 2 CPUs
 BLAS_CALLERS = [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)]
 NO_BLAS_SETTING = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
@@ -132,36 +148,36 @@ ROUTES = {
         "prime sieve over [2, 1998], 997 report rows and prime counts over [0, 1998] "
         "needs 341635 bytes",
     ),
-    # 1999 rows: 16 * 1999 + 80 * 1999 + 24 * 965 + 240 * 1999 (w = 4000,
+    # 1999 rows: 16 * 1999 + 48 * 1999 + 24 * 965 + 240 * 1999 (w = 4000,
     # the sieve); the count table: 8 * 2001 + 17 * 2000 odd values + 36 * 4096
     "binary": (
         ["binary", "--from", "2", "--to", "2000"],
         "prime sieve over [2, 4000], 1999 report rows and FFT convolution of length "
-        "4096 needs 896289 bytes",
+        "4096 needs 832321 bytes",
     ),
-    # 998 rows: 24 * 998 + 88 * 998 + 24 * 527 + 240 * 998 (w = 2001); the
+    # 998 rows: 24 * 998 + 48 * 998 + 24 * 527 + 240 * 998 (w = 2001); the
     # count table: 8 * 2002 + 17 * 1001 odd values + 36 * 2048
     "ternary": (
         ["ternary", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 472707 bytes",
+        "2048 needs 432787 bytes",
     ),
     "peculiar": (
         ["peculiar", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 472707 bytes",
+        "2048 needs 432787 bytes",
     ),
     # the verdicts: 2 * 4000 + 8 * isqrt(3999) bytes, then the binary count
     # table over them; 1997 rows from n = 4
     "via-fermat": (
         ["binary", "--via-fermat", "--from", "4", "--to", "2000"],
         "prime sieve over [2, 63], 1997 report rows, verdict table over [0, 3999] "
-        "and FFT convolution of length 4096 needs 900184 bytes",
+        "and FFT convolution of length 4096 needs 836280 bytes",
     ),
     # no count table
     "first-witness": (
         ["binary", "--from", "2", "--to", "2000", "--first-witness-only"],
-        "prime sieve over [2, 4000] and 1999 report rows needs 698825 bytes",
+        "prime sieve over [2, 4000] and 1999 report rows needs 634857 bytes",
     ),
 }
 
