@@ -36,6 +36,7 @@ scans (``first_binary_witness``, ``first_peculiar_witness``,
 ``two_prime_sum_exists``) stay the reference it is tested against.
 """
 
+import itertools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -556,18 +557,34 @@ def _primes_below(mask: np.ndarray, stop: int):
         lo, width = hi, 8 * width
 
 
-def _two_prime_sums(totals: np.ndarray, table: SpfTable) -> np.ndarray:
-    """two_prime_sum_exists for every total of an array, by rounds over the
+def _two_prime_sums(totals: range, table: SpfTable) -> np.ndarray:
+    """two_prime_sum_exists for every total of a range, by rounds over the
     primes up to max(totals) / 2: round p tests whether total - p is prime
-    for every total still open with p <= total / 2, smallest p first."""
+    for every total still open with p <= total / 2, smallest p first.
+
+    While most totals are open, round p reads total - p of every total
+    from one strided slice of the mask, a view; then the totals still open
+    are compacted and each round gathers theirs."""
     out = np.zeros(len(totals), dtype=np.bool_)
-    at = np.arange(len(totals))
-    rest = np.array(totals, dtype=np.int64)  # total - p, stepped in place
+    open_ = np.ones(len(totals), dtype=np.bool_)
+    mask = table.is_prime_mask
+    primes = _primes_below(mask, totals[-1] // 2 + 1 if totals else 0)
+    for p in primes:
+        first = max(0, -(-(2 * p - totals.start) // totals.step))  # total >= 2p
+        open_[:first] = False
+        if 2 * np.count_nonzero(open_) <= open_.size:
+            break
+        hit = mask[totals[first] - p : totals[-1] - p + 1 : totals.step] & open_[first:]
+        out[first:] |= hit
+        open_[first:] ^= hit
+    else:
+        return out
+    at = np.flatnonzero(open_)
+    rest = totals.start + totals.step * at  # total - p, stepped in place
     open_ = np.ones(at.shape, dtype=np.bool_)
     found = np.zeros(at.shape, dtype=np.bool_)
-    mask = table.is_prime_mask
     prev = 0
-    for p in _primes_below(mask, int(np.max(rest, initial=0)) // 2 + 1):
+    for p in itertools.chain([p], primes):
         rest -= p - prev
         prev = p
         open_ &= rest >= p

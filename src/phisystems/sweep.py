@@ -21,12 +21,14 @@ and the certify rows from comparing the block with the sieve. Only a
 ternary n without a q = 3 witness, and the oracle check of
 --verify-against-oracle, are handled one n at a time.
 
-Rows stay int64 columns from the chunk to the report: the witness count,
-the first witness x (-1 where none was found), y for triple tasks, and
-certify's verdict as 0 or 1. The n of a row is its place in the range.
-One writer renders every format from the columns, a slice of rows at a
-time: digits come from integer division into a byte matrix, and a keep
-mask drops its unused places.
+Rows are columns from the chunk to the report, each of the narrowest
+dtype its values' bound allows: the witness count (uint8 where it is 0 or
+1, int64 for triple counts), the first witness x (-1 where none was
+found) and y for triple tasks, int32 while hi < 2^31, and certify's
+verdict as a uint8 0 or 1. The n of a row is its place in the range. One
+writer renders every format from the columns, 2^14 rows at a time: two
+digits a pass, from the remainder by 100, into a byte matrix whose unused
+places hold 0 and are dropped.
 
 A sweep cuts the eligible n into contiguous chunks of a fixed width, 2^17
 n, runs the chunks in this process on one worker or on forked workers (at
@@ -111,13 +113,16 @@ class SweepOptions:
 class RangeReport:
     """Aggregate result of verifying one task over [lo, hi].
 
-    One row per eligible n, held as int64 columns in the order of ns:
-    count is the witness count (in first-witness mode 1 when any witness
-    exists) and x the first witness, -1 where none was found. Triple
-    tasks add y, their witness being the pair (x, y); a certify row's x
-    is its verdict, 0 for Composite and 1 for Prime. failures lists every
-    n whose check did not hold (no witness, a failed identity, or an
-    oracle mismatch when oracle verification was requested)."""
+    One row per eligible n, held as columns in the order of ns: count is
+    the witness count (in first-witness mode 1 when any witness exists)
+    and x the first witness, -1 where none was found. Triple tasks add y,
+    their witness being the pair (x, y); a certify row's x is its verdict,
+    0 for Composite and 1 for Prime. Each column takes the narrowest dtype
+    its bound allows: uint8 for a count that is 0 or 1 and for verdicts,
+    int64 for triple counts, and int32 for the other counts and the
+    witnesses while hi < 2^31. failures lists every n whose check did not
+    hold (no witness, a failed identity, or an oracle mismatch when oracle
+    verification was requested)."""
 
     task: str
     lo: int
@@ -166,60 +171,93 @@ def _text_bytes(lines: Iterable[str]) -> bytes:
     return b"".join(parts)
 
 
-_ROW_SLICE = 1 << 16  # report rows rendered at a time
+_ROW_SLICE = 1 << 14  # report rows rendered at a time, so their passes stay in cache
 
 
 class _Seg(NamedTuple):
-    """One piece of every row of a slice: the literal text, or the digits
-    of values, one per row, trimmed or right-aligned in pad places. It is
-    written on the rows where rows is set, or on all."""
+    """One piece of every row of a slice: the literal text, one of the
+    words picked per row by values, or the digits of values, one per row,
+    trimmed or right-aligned in pad places. It is written on the rows where
+    rows is set, or on all."""
 
     text: bytes = b""
     values: np.ndarray | None = None
     rows: np.ndarray | None = None
     pad: int = 0
+    words: tuple[bytes, ...] = ()
+
+
+def _width(s: _Seg) -> int:
+    if s.words:
+        return max(map(len, s.words))
+    if s.values is None:
+        return len(s.text)
+    return s.pad or len(str(int(s.values.max())))
+
+
+def _digits(q: np.ndarray, out: np.ndarray, pad: int) -> None:
+    """Write the decimal digits of q right-aligned into the places of out,
+    a row per place, two places a pass from the remainder by 100. A place
+    left of a value's first digit is a space when pad is set, else 0, which
+    the row drops; the last place always holds a digit."""
+    blank = ord(" ") if pad else 0
+    last = len(out) - 1
+    for ones in range(last, -1, -2):
+        higher = q // 100
+        # garbage where q is -1, on a row that does not write it
+        pair = (q - 100 * higher).astype(np.uint8)
+        tens = pair // 10
+        pair -= 10 * tens
+        out[ones] = _blanked(pair, q != 0 if ones < last else True, blank)
+        if ones:
+            out[ones - 1] = _blanked(tens, q >= 10, blank)
+        q = higher
+
+
+def _blanked(digit: np.ndarray, shown, blank: int) -> np.ndarray:
+    """The ASCII digits where shown is set, else blank, in place of digit;
+    by arithmetic, not a masked write, so that it takes no branch per row."""
+    digit += ord("0") - blank
+    digit *= shown
+    digit += blank
+    return digit
 
 
 def _rows_bytes(segments: list[_Seg], rows: int) -> bytes:
-    """Lay the segments side by side in one byte matrix, a row of it per
-    report row, and read it back through a keep mask that drops the unused
-    places: the leading places of a short number, and segments off their
-    rows. The matrix is filled transposed, one place of every row at a
-    time, so each write is contiguous."""
-    widths = [
-        len(s.text) if s.values is None else s.pad or len(str(int(s.values.max())))
-        for s in segments
-    ]
+    """Lay the segments in one byte matrix, a row of it per place and a
+    column per report row, so that each write is contiguous, and read it
+    back a report row at a time without the places that hold 0: the
+    leading places of a short number, the end of a short word, and
+    segments off their rows. No report text holds a 0 byte. A segment that
+    no row writes takes no place."""
+    segments = [s for s in segments if s.rows is None or s.rows.any()]
+    widths = [_width(s) for s in segments]
     cells = np.empty((sum(widths), rows), np.uint8)
-    keep = np.ones(cells.shape, np.bool_)
     at = 0
     for s, width in zip(segments, widths):
-        out, kept = cells[at : at + width], keep[at : at + width]
+        out = cells[at : at + width]
         at += width
-        if s.values is None:
+        if s.words:  # left-aligned, ended by 0s
+            words = np.zeros((width, len(s.words)), np.uint8)
+            for i, word in enumerate(s.words):
+                words[: len(word), i] = np.frombuffer(word, np.uint8)
+            # mode="wrap" takes -1, a row not written, as the last word
+            np.take(words, s.values, axis=1, out=out, mode="wrap")
+        elif s.values is None:
             out[:] = np.frombuffer(s.text, np.uint8)[:, None]
         else:
-            q = s.values
-            for place in range(width - 1, -1, -1):  # right to left
-                higher = q // 10
-                out[place] = q - 10 * higher + ord("0")
-                if place < width - 1:
-                    blank = q == 0  # left of the value's first digit
-                    if s.pad:
-                        out[place][blank] = ord(" ")
-                    else:
-                        kept[place] = ~blank
-                q = higher
+            _digits(s.values, out, s.pad)
         if s.rows is not None:
-            kept &= s.rows
-    return cells.T[keep.T].tobytes()
+            out *= s.rows
+    return cells.T.tobytes().translate(None, b"\0")
 
 
 def _segments(report: RangeReport, fmt: str, rows: slice, pads) -> list[_Seg]:
     """The segments of the report rows in the slice rows, in format fmt;
     pads are the widths of the table's n and count columns, else (0, 0)."""
     ns = report.ns[rows]
-    n = _Seg(values=np.arange(ns.start, ns.stop, ns.step, dtype=np.int64), pad=pads[0])
+    n = np.arange(ns.start, ns.stop, ns.step, dtype=_value_dtype(ns[-1]))
+    n = _Seg(values=n, pad=pads[0])
     count = _Seg(values=report.count[rows], pad=pads[1])
     if fmt == "counts":
         return [n, _Seg(b","), count, _Seg(b"\n")]
@@ -228,10 +266,8 @@ def _segments(report: RangeReport, fmt: str, rows: slice, pads) -> list[_Seg]:
     json_ = fmt == "json"
     if report.task == "certify":
         quote = b'"' if json_ else b""
-        cell = [
-            _Seg(quote + name.encode() + quote, rows=x == v)
-            for v, name in enumerate(_VERDICT_NAMES)
-        ]
+        words = tuple(quote + v.encode() + quote for v in _VERDICT_NAMES)
+        cell = [_Seg(values=x, rows=found, words=words)]
     elif report.y is not None:
         left, mid, right = (b"[", b",", b"]") if json_ else (b"", b":", b"")
         y = report.y[rows]
@@ -357,14 +393,15 @@ _BLOCK = _Table(
 
 
 # A task's rows take one chunk ns and return whether each n's check held,
-# as a bool array, and the chunk's int64 columns in the order of ns: the
-# counts, the first witnesses x (-1 where none was found) and, for
-# triples, their y, from whole-array passes over the chunk.
+# as a bool array, and the chunk's columns in the order of ns: the counts,
+# the first witnesses x (-1 where none was found) and, for triples, their
+# y, from whole-array passes over the chunk. The merge casts each column
+# to the dtype of its report column.
 def _rows_certify(ns, rt, options):
     verdicts = rt.primes[ns.start - rt.base : ns.stop - rt.base]
     # the sieve stays the other side
     ok = verdicts == rt.table.is_prime_mask[ns.start : ns.stop]
-    return ok, (ok.astype(np.int64), verdicts.astype(np.int64))
+    return ok, (ok.astype(np.uint8), verdicts.astype(np.uint8))
 
 
 def _rows_bertrand(ns, rt, options):
@@ -383,7 +420,7 @@ def _rows_bertrand(ns, rt, options):
     found = x < n - 2  # that prime lies below 2n - 2
     x[~found] = -1
     if options.first_witness_only:
-        return found, (found.astype(np.int64), x)
+        return found, (found.astype(np.uint8), x)
     # the primes in (n, 2n - 2) in three parts: the chunk's, those between
     # the chunk and c = max(b + 1, 2a - 2), and those of a window [c, top);
     # 2n - 2 lies in (b + 1, c) for no n of the chunk
@@ -401,7 +438,7 @@ def _rows_bertrand(ns, rt, options):
 def _count_rows(ns, found, witnesses, rt, options):
     """Rows of a task whose count is rt.counts[n] outside first-witness mode."""
     if options.first_witness_only:
-        return found, (found.astype(np.int64), *witnesses)
+        return found, (found.astype(np.uint8), *witnesses)
     counts = rt.counts[ns.start : ns.stop : ns.step]
     return found & (counts >= 1), (counts, *witnesses)
 
@@ -439,9 +476,9 @@ def _rows_proposition(ns, rt, options):
     # the check proposition_check makes: a q = 3 witness exists iff n - 3 is
     # a sum of two primes, the right side by rounds over the mask's primes
     found, witnesses = _q3_witnesses(ns, rt)
-    totals = np.arange(ns.start, ns.stop, ns.step) - 3
+    totals = range(ns.start - 3, ns.stop - 3, ns.step)
     ok = found == goldbach._two_prime_sums(totals, rt.table)
-    return ok, (ok.astype(np.int64), *witnesses)
+    return ok, (ok.astype(np.uint8), *witnesses)
 
 
 # Oracles give the count a row should report, by trial division; certify
@@ -471,6 +508,29 @@ def _oracle_proposition(n, rt):
     return int((_oracle_peculiar(n, rt) > 0) == bool(oracle.oracle_pairs(n - 3).pairs))
 
 
+def _value_dtype(hi: int) -> type:
+    """The dtype of a column of values in [-1, hi]: int32 while hi < 2^31."""
+    return np.int32 if hi < 2**31 else np.int64
+
+
+# A report column's dtype from hi and whether the rows count only whether
+# a witness exists, each sized to the bound of its values.
+def _flag(hi, first_witness_only):  # 0 or 1: a check held, or a verdict
+    return np.uint8
+
+
+def _value(hi, first_witness_only):  # a first witness x or y, at most n
+    return _value_dtype(hi)
+
+
+def _count(hi, first_witness_only):  # at most n pairs, or n primes
+    return np.uint8 if first_witness_only else _value_dtype(hi)
+
+
+def _triple_count(hi, first_witness_only):  # 18,671,596,757 at n < 10^7
+    return np.uint8 if first_witness_only else np.int64
+
+
 class _Task(NamedTuple):
     """One task's rules."""
 
@@ -483,10 +543,11 @@ class _Task(NamedTuple):
     # n, which ORACLE_LIMIT bounds; None when the oracle has no bound
     reach: Callable[[int], tuple[str, int]] | None
     tables: tuple[_Table, ...] = ()  # built in order, each reading the last
-    columns: int = 2  # int64 columns per row: count, x and, for triples, y
+    # the dtype rules of its columns: count, x and, for triples, y
+    columns: tuple[Callable[[int, bool], type], ...] = (_count, _value)
     # the rows' bytes per n of a chunk (tracemalloc peaks over chunks of
-    # 2^17 n up to 10^7: 34 for pairs and triples, 54 for proposition, with
-    # room for RSS), and (n of a chunk, hi) -> the values spanned by the
+    # 2^17 n up to 10^7: 34 for pairs, triples and proposition, with room
+    # for RSS), and (n of a chunk, hi) -> the values spanned by the
     # widest window of primes the chunk's rows walk, if any
     row_bytes: int = 0
     walk: Callable[[int, int], int] = lambda width, hi: 0
@@ -516,7 +577,7 @@ _SPECS = {
     # on 1 worker and 1.14 s on 2 when it forked (median of 7, 2-vCPU guest)
     "certify": _Task(
         lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
-        row_bytes=24, forks=False,
+        (_flag, _flag), row_bytes=24, forks=False,
     ),
     # the walk: the chunk's primes, then, not held with them, the primes of a
     # window [c, 2 max(n) - 2) of at most 2 width values
@@ -535,16 +596,19 @@ _SPECS = {
         (_VERDICTS, _COUNTS), row_bytes=48, walk=_pair_window(2),
     ),
     "ternary": _Task(
-        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, (_COUNTS,), 3,
+        lambda hi: hi, 7, 2, _rows_ternary, _oracle_ternary, _triples, (_COUNTS,),
+        (_triple_count, _value, _value),
         row_bytes=48, walk=_pair_window(1),
     ),
     "peculiar": _Task(
-        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, (_COUNTS,), 3,
+        lambda hi: hi, 7, 2, _rows_peculiar, _oracle_peculiar, _triples, (_COUNTS,),
+        (_triple_count, _value, _value),
         row_bytes=48, walk=_pair_window(1),
     ),
     "proposition": _Task(
-        lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, (), 3,
-        row_bytes=64, walk=_pair_window(1),
+        lambda hi: hi, 7, 2, _rows_proposition, _oracle_proposition, _triples, (),
+        (_flag, _value, _value),
+        row_bytes=48, walk=_pair_window(1),
     ),
 }
 
@@ -553,15 +617,22 @@ def _tables(spec: _Task, options: SweepOptions) -> list[_Table]:
     return [t for t in spec.tables if not (options.first_witness_only and t.counts_only)]
 
 
+def _dtypes(spec: _Task, hi: int, options: SweepOptions) -> list[type]:
+    return [column(hi, options.first_witness_only) for column in spec.columns]
+
+
 def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[int, str]]:
     """What a sweep holds at its peak, as (bytes, what) parts: the sieve,
-    the report rows and the tables the rows read. The rows hold columns, a
-    chunk's temporaries and one window of walked primes in each worker, 24
-    bytes per walked prime (fewer than 2w / ln w, plus the walk's end, in a
-    window of w values, by Montgomery and Vaughan's Brun-Titchmarsh bound),
+    the report rows and the tables the rows read. The rows hold columns,
+    each at its dtype's width, a chunk's temporaries and one window of
+    walked primes in each worker, 24 bytes per walked prime (fewer than
+    2w / ln w, plus the walk's end, in a window of w values, by Montgomery
+    and Vaughan's Brun-Titchmarsh bound),
     and the writer's slice: per row, 4 bytes per character, of at most
-    5d + 24 for d digits of hi, and 64 of digit passes and masks."""
-    report = 8 * spec.columns * rows + spec.row_bytes * min(rows, _CHUNK * workers)
+    5d + 24 for d digits of hi (the byte matrix, its bytes, and them
+    without their 0s), and 64 of digit passes and row masks."""
+    row = sum(np.dtype(dtype).itemsize for dtype in _dtypes(spec, hi, options))
+    report = row * rows + spec.row_bytes * min(rows, _CHUNK * workers)
     walk = spec.walk(min(rows, _CHUNK), hi)
     if walk > 1:
         report += 24 * workers * (int(2 * walk / math.log(walk)) + 1)
@@ -603,13 +674,14 @@ def _worker_count(threads: int) -> int:
 
 # A sweep cuts its n into contiguous chunks of _CHUNK n, the last perhaps
 # shorter, and runs on at most one worker per chunk. On a 2-vCPU guest a
-# pool of 2 forked workers costs 28-45 ms to import, fork and join. In
-# first-witness mode the pair rows cost 0.07 us per n (binary, ternary,
-# peculiar; proposition 0.15 with its two-prime sums), 9-19 ms per 2^17 n
-# near 10^6 (in process, best of 7; bertrand's rows cost 0.03, certify's
-# 0.001). One chunk of the costliest rows thus costs less than the pool,
-# so a sweep of one chunk runs in this process, and the temporaries and
-# walked primes of a chunk stay fixed as ranges grow.
+# pool of 2 forked workers costs 39-60 ms to import, fork and join (7
+# runs). Since the pair kernel's offset phase, a chunk of 2^17 n near 10^6
+# costs 10-15 ms of first-witness pair rows (binary, ternary, peculiar),
+# 17 ms of proposition rows with their two-prime sums, 5 ms of bertrand's
+# and 0.03 ms of certify's (in process, best of 7). A chunk of the
+# costliest rows thus costs under half the pool, so a sweep of one chunk
+# runs in this process, and the temporaries and walked primes of a chunk
+# stay fixed as ranges grow.
 _CHUNK = 1 << 17
 
 
@@ -670,7 +742,7 @@ def run_sweep(
     for t in _tables(spec, options):
         rt = t.build(task, rt, ns, hi)
     chunks = _chunks(ns)
-    columns = [np.empty(rows, np.int64) for _ in range(spec.columns)]
+    columns = [np.empty(rows, dtype) for dtype in _dtypes(spec, hi, options)]
     failures: list[int] = []
     global _WORKER_STATE
     _WORKER_STATE = (spec, options, rt)
@@ -702,7 +774,7 @@ def run_sweep(
         ns=ns,
         count=columns[0],
         x=columns[1],
-        y=columns[2] if spec.columns == 3 else None,
+        y=columns[2] if len(columns) == 3 else None,
         failures=tuple(failures),
         config=options.config(),
         elapsed=time.perf_counter() - started,

@@ -193,56 +193,56 @@ def test_memory_budget_exit_3():
 
 def test_sieve_budget_exit_3_to_the_byte(monkeypatch, capsys):
     # the sieve over [2, 1998], one byte per value in [0, 1998], and 997
-    # report rows are all this sweep counts: two int64 columns, 64 bytes
-    # for each n of its one chunk, 24 for each of the at most
+    # report rows are all this sweep counts: a uint8 count and an int32 x
+    # column, 64 bytes for each n of its one chunk, 24 for each of the at most
     # int(2 w / ln w) + 1 = 525 primes in its window of w = 1994 values, and
     # the writer's 240 bytes per row of 4-digit n
     args = ["bertrand", "--from", "4", "--to", "1000", "--first-witness-only"]
     args += ["--format", "csv"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    needed = 1999 + 16 * 997 + 64 * 997 + 24 * 525 + 240 * 997
-    assert needed == 333639
+    needed = 1999 + 5 * 997 + 64 * 997 + 24 * 525 + 240 * 997
+    assert needed == 322672
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
     assert capsys.readouterr().err == (
-        "error: prime sieve over [2, 1998] and 997 report rows needs 333639 bytes, "
-        "budget is 333638\n"
+        "error: prime sieve over [2, 1998] and 997 report rows needs 322672 bytes, "
+        "budget is 322671\n"
     )
 
 
 def test_report_columns_count_against_the_budget(monkeypatch, capsys):
-    # a triple row holds three int64 columns: 998 rows of odd n in [7, 2001]
-    # count 24 * 998 bytes of columns, 48 * 998 of chunk temporaries, 24 *
-    # 527 of walked primes (a window of the 2001 values the sieve holds)
-    # and 240 * 998 of the writer's slice, and the sieve over [2, 2001]
-    # 2002 more
+    # a first-witness triple row holds a uint8 count and int32 x and y: 998
+    # rows of odd n in [7, 2001] count 9 * 998 bytes of columns, 48 * 998
+    # of chunk temporaries, 24 * 527 of walked primes (a window of the 2001
+    # values the sieve holds) and 240 * 998 of the writer's slice, and the
+    # sieve over [2, 2001] 2002 more
     args = ["ternary", "--from", "7", "--to", "2001", "--first-witness-only"]
     args += ["--format", "json"]
     assert call_main(args) == 0
     default = capsys.readouterr().out
-    needed = 2002 + 24 * 998 + 48 * 998 + 24 * 527 + 240 * 998
-    assert needed == 326026
+    needed = 2002 + 9 * 998 + 48 * 998 + 24 * 527 + 240 * 998
+    assert needed == 311056
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed))
     assert call_main(args) == 0
     assert capsys.readouterr().out == default
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", str(needed - 1))
     assert call_main(args) == 3
-    assert "998 report rows needs 326026 bytes" in capsys.readouterr().err
-    # the 8 MB sieve fits 64 MiB, but not with the 64 MB of columns of
-    # 4 * 10^6 rows, which are refused before the sieve is built; a chunk
-    # of 2^17 n at 48 bytes, the 22883 primes bounding a window of
-    # 2^17 + 4096 values and a writer's slice of 2^16 rows of 7-digit n at
-    # 300 bytes come on top
+    assert "998 report rows needs 311056 bytes" in capsys.readouterr().err
+    # the 20 MB sieve fits 64 MiB, but not with the 50 MB of columns of
+    # 10^7 rows, 5 bytes each, which are refused before the sieve is built;
+    # a chunk of 2^17 n at 48 bytes, the 22883 primes bounding a window of
+    # 2^17 + 4096 values and a writer's slice of 2^14 rows of 8-digit n at
+    # 320 bytes come on top
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "64M")
-    args = ["binary", "--from", "2", "--to", "4e6", "--first-witness-only"]
+    args = ["binary", "--from", "2", "--to", "1e7", "--first-witness-only"]
     assert call_main([*args, "--format", "csv"]) == 3
-    needed = 8_000_001 + 16 * 3_999_999 + 48 * 2**17 + 24 * 22_883 + 300 * 2**16
-    assert f"3999999 report rows needs {needed} bytes" in capsys.readouterr().err
+    needed = 20_000_001 + 5 * 9_999_999 + 48 * 2**17 + 24 * 22_883 + 320 * 2**14
+    assert f"9999999 report rows needs {needed} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,13 +256,14 @@ def test_sweep_of_2_63_rows_or_more_exit_3(monkeypatch, capsys, task, lo, hi, si
     assert call_main([task, "--from", str(lo), "--to", str(hi)]) == 3
     rows = hi - lo + 1
     assert rows >= 2**63
-    # the rows: two columns, the temporaries of one chunk of 2^17 n, for
-    # bertrand the primes of a window of 2^18 values, at most
-    # int(2 w / ln w) + 1 = 42022, and the writer's slice of 2^16 rows
+    # the rows: two columns, uint8 for certify and int64 for bertrand past
+    # 2^31, the temporaries of one chunk of 2^17 n, for bertrand the primes
+    # of a window of 2^18 values, at most int(2 w / ln w) + 1 = 42022, and
+    # the writer's slice of 2^14 rows
     chunk = 2**17
-    writer = 2**16 * (4 * (5 * len(str(hi)) + 24) + 64)
+    writer = 2**14 * (4 * (5 * len(str(hi)) + 24) + 64)
     if task == "certify":
-        report = 16 * rows + 24 * chunk + writer
+        report = 2 * rows + 24 * chunk + writer
         table = 2 * rows + 8 * math.isqrt(hi), f"certifying the block [{lo}, {hi}]"
     else:
         report = 16 * rows + 64 * chunk + 24 * 42_022 + writer
@@ -332,12 +333,14 @@ def test_exit_3_means_the_budget(args, lo, hi):
     "budget, argv",
     [
         ("181M", ["bertrand", "--from", "4", "--to", "1e7"]),
-        ("340000000", ["certify", "--from", "2", "--to", "2e7"]),
+        ("340000000", ["certify", "--from", "2", "--to", "7e7"]),
     ],
 )
 def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
     # each of these ran to a peak RSS well past its budget while it counted
-    # only the sieve and the columns; now they are refused before the sieve
+    # only the sieve and the columns; now they are refused before the sieve.
+    # certify to 2 * 10^7, which then overran 340000000 bytes, now counts
+    # 108424381 and runs; to 7 * 10^7 it counts 358455533
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", budget)
     assert call_main([*argv, "--format", "csv"]) == 3
@@ -345,14 +348,15 @@ def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
 
 
 def test_count_table_over_budget_exit_3():
-    # the sieve and the rows of [2, 2000] take 634857 bytes; the count table
-    # packs the 2000 odd values below 4000 into a length-4096 FFT and adds
-    # 197464 bytes (see test_package), past an 800 KiB budget
+    # the sieve and the first-witness rows of [2, 2000] take 612868 bytes,
+    # with counts 618865; the count table packs the 2000 odd values below
+    # 4000 into a length-4096 FFT and adds 197464 bytes (see test_package),
+    # past a 700 KiB budget
     args = ("binary", "--from", "2", "--to", "2000", "--format", "csv")
-    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "800K"})
+    proc = run_cli(*args, env={"PHISYSTEMS_MEMORY_BUDGET": "700K"})
     assert proc.returncode == 3
     assert b"FFT" in proc.stderr and b"budget" in proc.stderr
-    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "800K"})
+    proc = run_cli(*args, "--first-witness-only", env={"PHISYSTEMS_MEMORY_BUDGET": "700K"})
     assert proc.returncode == 0
 
 

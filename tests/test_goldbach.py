@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,11 +405,21 @@ class TestPairBlock:
     def test_two_prime_sums_one_total_at_a_time(self, table):
         # a total alone is still open after its last prime p <= total / 2
         for t in range(0, 300):
-            got = goldbach._two_prime_sums(np.array([t]), table).tolist()
+            got = goldbach._two_prime_sums(range(t, t + 1), table).tolist()
             assert got == [two_prime_sum_exists(t, table)]
-        assert goldbach._two_prime_sums(np.array([], dtype=np.int64), table).size == 0
+        assert goldbach._two_prime_sums(range(0), table).size == 0
 
     def test_two_prime_sums_match_the_scalar_scan(self, table):
-        totals = range(0, 20_001)
-        got = goldbach._two_prime_sums(np.array(totals), table).tolist()
-        assert got == [two_prime_sum_exists(t, table) for t in totals]
+        # the strided rounds, then the compacted ones, on both parities; on
+        # the sieve, and on a mask holding one prime in eight, where many
+        # even totals that reach the compacted rounds have no split
+        mask = table.is_prime_mask[:20_001].copy()
+        primes = np.flatnonzero(mask)
+        mask[primes[np.random.default_rng(8).random(len(primes)) < 7 / 8]] = 0
+        sparse = SimpleNamespace(
+            limit=20_000, is_prime_mask=mask, prime_list=np.flatnonzero(mask).tolist()
+        )
+        for source in (table, sparse):
+            for totals in (range(0, 20_001), range(4, 20_001, 2), range(1, 9_001, 2)):
+                got = goldbach._two_prime_sums(totals, source).tolist()
+                assert got == [two_prime_sum_exists(t, source) for t in totals]

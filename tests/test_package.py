@@ -129,55 +129,57 @@ def test_import_runs_openblas_on_one_thread(caller, threads):
 
 
 # Each route's footprint, counted before anything is built. A report row
-# of d-digit n holds its int64 columns, the temporaries of its chunk (one
+# of d-digit n holds its columns (a uint8 count in first-witness mode and
+# for certify and proposition, int32 counts and witnesses below 2^31, int64
+# triple counts, a uint8 verdict), the temporaries of its chunk (one
 # chunk here, every row), at the task's row bytes, and the writer's slice
 # at 4 (5d + 24) + 64 bytes; the primes walked in a window of w values
 # take 24 bytes each, for int(2 w / ln w) + 1 of them.
 ROUTES = {
-    # 9999 rows: 16 * 9999 + 24 * 9999 + 260 * 9999, no walk; the block:
+    # 9999 rows: 2 * 9999 + 24 * 9999 + 260 * 9999, no walk; the block:
     # 2 * 9999 and 8 * isqrt(10^4)
     "certify": (
         ["certify", "--from", "2", "--to", "10000"],
         "prime sieve over [2, 10000], 9999 report rows and certifying the block "
-        "[2, 10000] needs 3030499 bytes",
+        "[2, 10000] needs 2890513 bytes",
     ),
-    # 997 rows: 16 * 997 + 64 * 997 + 24 * 525 + 240 * 997 (w = 1994);
+    # 997 rows: 8 * 997 + 64 * 997 + 24 * 525 + 240 * 997 (w = 1994);
     # PrimePi: 4 bytes for each of 0..1998
     "bertrand": (
         ["bertrand", "--from", "4", "--to", "1000"],
         "prime sieve over [2, 1998], 997 report rows and prime counts over [0, 1998] "
-        "needs 341635 bytes",
+        "needs 333659 bytes",
     ),
-    # 1999 rows: 16 * 1999 + 48 * 1999 + 24 * 965 + 240 * 1999 (w = 4000,
+    # 1999 rows: 8 * 1999 + 48 * 1999 + 24 * 965 + 240 * 1999 (w = 4000,
     # the sieve); the count table: 8 * 2001 + 17 * 2000 odd values + 36 * 4096
     "binary": (
         ["binary", "--from", "2", "--to", "2000"],
         "prime sieve over [2, 4000], 1999 report rows and FFT convolution of length "
-        "4096 needs 832321 bytes",
+        "4096 needs 816329 bytes",
     ),
-    # 998 rows: 24 * 998 + 48 * 998 + 24 * 527 + 240 * 998 (w = 2001); the
+    # 998 rows: 16 * 998 + 48 * 998 + 24 * 527 + 240 * 998 (w = 2001); the
     # count table: 8 * 2002 + 17 * 1001 odd values + 36 * 2048
     "ternary": (
         ["ternary", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 432787 bytes",
+        "2048 needs 424803 bytes",
     ),
     "peculiar": (
         ["peculiar", "--from", "7", "--to", "2001"],
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
-        "2048 needs 432787 bytes",
+        "2048 needs 424803 bytes",
     ),
     # the verdicts: 2 * 4000 + 8 * isqrt(3999) bytes, then the binary count
     # table over them; 1997 rows from n = 4
     "via-fermat": (
         ["binary", "--via-fermat", "--from", "4", "--to", "2000"],
         "prime sieve over [2, 63], 1997 report rows, verdict table over [0, 3999] "
-        "and FFT convolution of length 4096 needs 836280 bytes",
+        "and FFT convolution of length 4096 needs 820304 bytes",
     ),
     # no count table
     "first-witness": (
         ["binary", "--from", "2", "--to", "2000", "--first-witness-only"],
-        "prime sieve over [2, 4000] and 1999 report rows needs 634857 bytes",
+        "prime sieve over [2, 4000] and 1999 report rows needs 612868 bytes",
     ),
 }
 

@@ -289,7 +289,8 @@ def _assert_writer_matches_reference(task, lo, hi, ns, cells, failures, elapsed)
 
 @pytest.mark.parametrize("kind", KIND_TASKS)
 @pytest.mark.parametrize(
-    "rows", [0, 1, ROW_SLICE - 1, ROW_SLICE, ROW_SLICE + 1]
+    # four slices: the last one short by a row, full, and a single row
+    "rows", [0, 1, 4 * ROW_SLICE - 1, 4 * ROW_SLICE, 4 * ROW_SLICE + 1]
 )
 def test_writer_matches_per_row_reference(kind, rows):
     rng = random.Random(f"{kind}:{rows}")
@@ -319,6 +320,101 @@ def test_writer_matches_per_row_reference_on_any_cells(data):
     elapsed = data.draw(st.floats(0, 1e6))
     task = KIND_TASKS[kind]
     _assert_writer_matches_reference(task, start, start + 9, ns, cells, failures, elapsed)
+
+
+U8, I32, I64 = np.uint8, np.int32, np.int64
+# the dtypes of (count, x[, y]) of each route below 2^31, in count and in
+# first-witness mode: 0/1 flags and verdicts are uint8, witnesses and the
+# counts of pairs and of primes int32, triple counts int64
+COLUMN_DTYPES = {
+    "certify": ((U8, U8), (U8, U8)),
+    "bertrand": ((I32, I32), (U8, I32)),
+    "binary": ((I32, I32), (U8, I32)),
+    "binary --via-fermat": ((I32, I32), (U8, I32)),
+    "ternary": ((I64, I32, I32), (U8, I32, I32)),
+    "peculiar": ((I64, I32, I32), (U8, I32, I32)),
+    "proposition": ((U8, I32, I32), (U8, I32, I32)),
+}
+
+
+def _route_options(route, first_witness_only):
+    task = route.split()[0]
+    return task, SweepOptions(first_witness_only, via_fermat=route != task)
+
+
+@pytest.mark.parametrize("first_witness_only", [False, True])
+@pytest.mark.parametrize("route", COLUMN_DTYPES)
+def test_columns_take_their_dtypes(table, route, first_witness_only):
+    task, options = _route_options(route, first_witness_only)
+    lo, hi = SMALL_RANGES[task][0], 1500
+    report = run_sweep(task, lo, hi, options, table=table)
+    columns = [report.count, report.x] + ([] if report.y is None else [report.y])
+    want = COLUMN_DTYPES[route][first_witness_only]
+    assert [c.dtype for c in columns] == [np.dtype(d) for d in want]
+    # n and every column cross 9/10, 99/100 and 999/1000 here; the same
+    # values at int64 render the same bytes
+    wide = replace(
+        report,
+        count=report.count.astype(np.int64),
+        x=report.x.astype(np.int64),
+        y=None if report.y is None else report.y.astype(np.int64),
+    )
+    for fmt in FORMATS:
+        assert _render(report, fmt) == _render(wide, fmt), fmt
+
+
+@pytest.mark.parametrize("route", COLUMN_DTYPES)
+def test_column_dtypes_widen_at_2_31(route):
+    spec = sweep._SPECS[route]
+    assert sweep._value_dtype(2**31 - 1) is np.int32
+    assert sweep._value_dtype(2**31) is np.int64
+    for first_witness_only in (False, True):
+        options = _route_options(route, first_witness_only)[1]
+        want = COLUMN_DTYPES[route][first_witness_only]
+        assert sweep._dtypes(spec, 2**31 - 1, options) == list(want)
+        wider = [I64 if d is I32 else d for d in want]
+        assert sweep._dtypes(spec, 2**31, options) == wider
+
+
+# the digit counts' edges a value of an int32 column can take, and -1
+NARROW_EDGES = [0, 1, 9, 10, 99, 100, 2**31 - 1]
+
+
+@pytest.mark.parametrize("first_witness_only", [False, True])
+@pytest.mark.parametrize("route", COLUMN_DTYPES)
+def test_narrow_columns_match_the_int64_reference(route, first_witness_only):
+    # rows at the dtypes a sweep to 2^31 - 1 gives them, with -1 cells,
+    # render the per-row reference's bytes, table pads included
+    task, options = _route_options(route, first_witness_only)
+    dtypes = sweep._dtypes(sweep._SPECS[route], 2**31 - 1, options)
+    rng = random.Random(f"{route}:{first_witness_only}")
+
+    def values(dtype, rows):
+        edges = [0, 1] if dtype is U8 else NARROW_EDGES
+        return [rng.choice(edges) for _ in range(rows)]
+
+    for ns in (range(0, 300), range(2**31 - 599, 2**31, 2)):
+        count = values(dtypes[0], len(ns))
+        x = values(dtypes[1], len(ns))
+        if dtypes[1] is not U8:  # a verdict is always found
+            x = [v if rng.random() < 0.8 else -1 for v in x]
+        y = values(dtypes[-1], len(ns))
+        if task == "certify":
+            fws = [sweep._VERDICT_NAMES[v] for v in x]
+        elif len(dtypes) == 3:
+            fws = [None if a < 0 else (a, b) for a, b in zip(x, y)]
+        else:
+            fws = [None if a < 0 else a for a in x]
+        columns = [np.array(v, d) for v, d in zip((count, x, y), dtypes)]
+        report = RangeReport(
+            task, ns[0], ns[-1], ns, *columns[:2], (), options.config(), *columns[2:]
+        )
+        rows = list(zip(ns, count, fws))
+        for fmt in FORMATS:
+            expected = reference_bytes(
+                task, ns[0], ns[-1], rows, (), options.config(), fmt
+            )
+            assert _render(report, fmt) == expected, fmt
 
 
 SLICE = sweep._TEXT_SLICE
@@ -727,7 +823,7 @@ def test_windows_match_the_whole_prefix(wide_table, monkeypatch, lo, hi):
     sparse[lo : lo + 2000] = False
     sparse[:2000] = False
     m = np.arange(lo, hi + 1)
-    totals = np.arange(lo | 1, hi + 1, 2) - 3
+    totals = range((lo | 1) - 3, hi - 2, 2)
     for mask in (sieve, sparse):
         with monkeypatch.context() as patch:
             patch.setattr(goldbach, "_PAIR_MARGIN", 2 * hi)
