@@ -6,12 +6,14 @@ not divide m, so the full system is trial division in congruence form.
 The checks are evaluated by square-and-multiply modular exponentiation,
 never by a divisibility test.
 
-``certify`` and ``certify_verdict`` run the system for one m, and a
-certificate carries the checks it performed. ``certify_block`` gives the
-verdicts of a whole block of m at once: m^(p-1) mod p depends only on the
-residue class of m mod p, so it evaluates the congruence once per class,
-p pows for the prime p, and gathers those p outcomes over every m of the
-block whose system contains p. A block is a read-only numpy bool array,
+``certify`` and ``certify_verdict`` run the system for one m, by the
+built-in ``pow``, and a certificate carries the checks it performed.
+``certify_block`` gives the verdicts of a whole block of m at once:
+m^(p-1) mod p depends only on the residue class of m mod p, so for each
+prime p it evaluates the congruence once for each class the block's m
+that carry p occupy, at most p of them, by square-and-multiply over
+int64 numpy arrays, all primes at once, and clears the m of each failing
+class with one strided write. A block is a read-only numpy bool array,
 the format of the sieve's primality too; a block from 0 is a primality
 mask indexed by value, the verdict table of the congruence route.
 """
@@ -132,11 +134,49 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
     return Certificate(subject=m, checks=tuple(checks), verdict=verdict, failing_modulus=failing)
 
 
+# Residues per pass of the vectorised square-and-multiply: the bound on its
+# scratch, whatever the block's width.
+_GROUP = 1 << 16
+# What one residue of a pass holds at its peak: p, the residue, and in
+# _fermat_residues the exponent, the running square, the product, the
+# accumulator (six int64 values) and the bit that selects the product.
+_RESIDUE_BYTES = 6 * 8 + 1
+
+
+def _fermat_residues(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^(p-1) mod p per element, by square-and-multiply over int64 arrays.
+
+    Needs 0 <= a < p and p <= 3,037,000,499 = isqrt(2^63 - 1): both
+    operands of every product are below p, so each product is below 2^63,
+    exact in int64, and ``%`` only reduces it. The arrays are not changed.
+    """
+    e = p - 1
+    square = a.copy()
+    acc = np.ones_like(a)
+    prod = np.empty_like(a)
+    odd = np.empty(a.shape, dtype=np.bool_)
+    for _ in range(int(e.max(initial=0)).bit_length()):
+        np.bitwise_and(e, 1, out=prod)
+        np.not_equal(prod, 0, out=odd)
+        np.multiply(acc, square, out=prod)
+        np.remainder(prod, p, out=prod)
+        np.copyto(acc, prod, where=odd)
+        np.multiply(square, square, out=square)
+        np.remainder(square, p, out=square)
+        np.right_shift(e, 1, out=e)
+    return acc
+
+
 def _block_bytes(lo: int, hi: int) -> int:
     """What certify_block(lo, hi) holds at its peak: the block, one byte per
-    m; the tiling temporary, at most two periods longer than the block; and
-    the moduli, at most isqrt(hi) / 2 + 1 int64 values."""
-    return 0 if lo > hi else 2 * (hi - lo + 1) + 8 * math.isqrt(hi)
+    m; three int64 columns over the primes p <= r = isqrt(hi), at most
+    r // 2 + 1 of them; and the residues of one pass, at most _GROUP, and
+    at most min(r, hi - lo + 1) for each prime, _RESIDUE_BYTES each."""
+    if lo > hi:
+        return 0
+    width, r = hi - lo + 1, math.isqrt(hi)
+    residues = min(_GROUP, (r // 2 + 1) * min(r, width))
+    return width + 24 * (r // 2 + 1) + _RESIDUE_BYTES * residues
 
 
 def certify_block(lo: int, hi: int, table: SpfTable) -> np.ndarray:
@@ -145,11 +185,13 @@ def certify_block(lo: int, hi: int, table: SpfTable) -> np.ndarray:
 
     Entry m - lo equals ``certify_verdict(m, table)[0]`` for m >= 2, and
     0 and 1 are not prime, so a block from 0 is a mask indexed by value.
-    For each prime p <= isqrt(hi), read from the sieve's mask, the
-    congruence a^(p-1) == 1 (mod p) is evaluated once for every residue
-    class a in [0, p), by ``pow``; the p outcomes are then tiled over m in
-    [max(lo, p^2), hi], starting at the class of the first such m, and
-    folded into the block. An empty block (lo > hi) has length 0.
+    For each prime p <= isqrt(hi), read from the sieve's mask, the m that
+    carry p in their system run from first = max(lo, p^2) to hi, and the
+    first min(p, hi - first + 1) of them meet each residue class the block
+    occupies once. The congruence a^(p-1) == 1 (mod p) is evaluated for
+    those residues only, for all primes at once by _fermat_residues, in
+    passes of at most _GROUP residues. A failing m clears itself and every
+    p-th m after it. An empty block (lo > hi) has length 0.
     """
     if lo < 0:
         raise ValueError(f"a block starts at lo >= 0, got {lo}")
@@ -160,13 +202,30 @@ def certify_block(lo: int, hi: int, table: SpfTable) -> np.ndarray:
     _check_reach(hi, table)
     block = np.ones(hi - lo + 1, dtype=np.bool_)
     block[: max(0, 2 - lo)] = False  # 0 and 1
-    for p in map(int, np.flatnonzero(table.is_prime_mask[: math.isqrt(hi) + 1])):
-        holds = np.array([pow(a, p - 1, p) == 1 for a in range(p)], dtype=np.bool_)
-        start = max(lo, p * p)  # p is in the system of m exactly when p^2 <= m
-        width = hi - start + 1
-        offset = start % p
-        reps = -(-(offset + width) // p)
-        block[start - lo :] &= np.tile(holds, reps)[offset : offset + width]
+    # The residues of all primes lie end to end: prime i's are those of
+    # first_i + k for k < count_i, at positions ends_i - count_i + k, so
+    # position j holds the residue of m = shift_i + j.
+    primes = np.flatnonzero(table.is_prime_mask[: math.isqrt(hi) + 1])
+    shifts = np.multiply(primes, primes)  # p <= isqrt(hi) < 2^32: no overflow
+    np.maximum(shifts, lo, out=shifts)  # first = max(lo, p^2)
+    ends = np.minimum(primes, hi + 1 - shifts)  # count = min(p, hi - first + 1)
+    shifts += ends
+    np.cumsum(ends, out=ends)
+    shifts -= ends
+    total = int(ends[-1]) if ends.size else 0
+    for g0 in range(0, total, _GROUP):
+        g1 = min(g0 + _GROUP, total)
+        i0 = int(np.searchsorted(ends, g0, side="right"))
+        i1 = int(np.searchsorted(ends, g1, side="left")) + 1
+        take = np.diff(np.minimum(ends[i0:i1], g1), prepend=g0)
+        p = np.repeat(primes[i0:i1], take)
+        a = np.repeat(shifts[i0:i1], take)
+        a += np.arange(g0, g1)
+        np.remainder(a, p, out=a)  # m mod p, the base pow reduces first too
+        fails = np.flatnonzero(_fermat_residues(a, p) != 1) + g0
+        firsts = shifts[np.searchsorted(ends, fails, side="right")] + fails
+        for first, q in zip(firsts.tolist(), p[fails - g0].tolist()):
+            block[first - lo :: q] = False
     block.flags.writeable = False
     return block
 

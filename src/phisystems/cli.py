@@ -14,6 +14,7 @@ as ``| head`` does.
 import argparse
 import dataclasses
 import decimal
+import gc
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from .certify import certify
 from .sweep import DEFAULT_MEMORY_BUDGET, FORMATS, TASKS, MemoryBudgetError
 from .sweep import SweepOptions, _check_budget, _report_slices, _text_bytes, run_sweep
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 BUDGET_ENV = "PHISYSTEMS_MEMORY_BUDGET"
 
@@ -261,3 +262,17 @@ def main(argv=None) -> int:
             print(f"... and {len(report.failures) - 10} more", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
+
+
+def entry() -> None:
+    """The program, as ``python -m phisystems`` and the ``phisystems``
+    script run it: main, then exit with its status.
+
+    The heap is frozen first, so the interpreter's collections at shutdown
+    skip every object the run made, numpy's import among them; streams
+    still flush and atexit handlers still run. In-process callers of main
+    keep a collectable heap.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)

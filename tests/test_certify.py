@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from phisystems.arith import build_spf
 from phisystems.certify import (
+    _GROUP,
+    _RESIDUE_BYTES,
     Verdict,
     _block_bytes,
+    _fermat_residues,
     certify,
     certify_block,
     certify_verdict,
@@ -169,12 +172,13 @@ class TestCertifyBlock:
         assert block.tolist() == _per_m(2, 200_000, table)
 
     def test_random_blocks_around_prime_squares(self, table):
-        # a block costs sum(p) pows over p <= isqrt(hi): keep hi near 10^6
+        # hi reaches 10^7; the per-m reference stops at a composite's
+        # least prime factor, so it runs the full system only on primes
         rng = random.Random(20261018)
-        primes = [p for p in table.prime_list if p * p <= 10**6]
+        primes = [p for p in table.prime_list if p * p <= 10**7]
         blocks = []
         for _ in range(20):
-            lo = rng.randrange(2, 10**6)
+            lo = rng.randrange(2, 10**7)
             blocks.append((lo, lo + rng.randrange(0, 3_000)))
         for p in rng.sample(primes, 12) + [2, 3, 5, 7]:
             # lo just below, at and just above p^2, where p joins the system
@@ -183,6 +187,11 @@ class TestCertifyBlock:
                     blocks.append((lo, lo + rng.randrange(0, 2 * p + 50)))
         for lo, hi in blocks:
             assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table), (lo, hi)
+
+    def test_narrow_block_far_up(self):
+        lo, hi = 10**9, 10**9 + 1_000
+        far = build_spf(31_623)  # isqrt(hi) = 31622
+        assert certify_block(lo, hi, far).tolist() == _per_m(lo, hi, far)
 
     def test_small_starts_and_single_values(self, table):
         for lo in (0, 1, 2, 3, 4):
@@ -208,38 +217,89 @@ class TestCertifyBlock:
             certify_block(-1, 10, small)
 
     @pytest.mark.parametrize(
-        "lo,hi", [(2, 10_000), (123_457, 130_000), (999_000, 10**6)]
+        "lo,hi",
+        [(2, 10_000), (123_457, 130_000), (999_000, 10**6), (499_731, 499_740)],
     )
-    def test_one_pow_per_residue_class(self, table, monkeypatch, lo, hi):
-        calls = []
+    def test_each_occupied_class_once(self, table, monkeypatch, lo, hi):
+        pairs = []
+        honest = certify_module._fermat_residues
 
-        def counting_pow(base, exp, mod):
-            calls.append((base, exp, mod))
-            return pow(base, exp, mod)
+        def recording(a, p):
+            pairs.extend(zip(a.tolist(), p.tolist()))
+            return honest(a, p)
 
-        monkeypatch.setattr(certify_module, "pow", counting_pow, raising=False)
+        def no_pow(*args):
+            raise AssertionError("certify_block calls the built-in pow")
+
+        monkeypatch.setattr(certify_module, "_fermat_residues", recording)
+        monkeypatch.setattr(certify_module, "pow", no_pow, raising=False)
         got = certify_block(lo, hi, table)
         monkeypatch.undo()
-        primes = [p for p in table.prime_list if p <= math.isqrt(hi)]
-        assert len(calls) == sum(primes)
-        # every base is a residue class in [0, p), each evaluated once
-        assert sorted(calls) == sorted((a, p - 1, p) for p in primes for a in range(p))
         assert got.tolist() == _per_m(lo, hi, table)
+        primes = [p for p in table.prime_list if p <= math.isqrt(hi)]
+        evaluated = {p: [] for p in primes}
+        for a, p in pairs:
+            evaluated[p].append(a)
+        for p in primes:
+            # the residues of the m that carry p, each once
+            first = max(lo, p * p)
+            occupied = {m % p for m in range(first, min(hi, first + p - 1) + 1)}
+            assert sorted(evaluated[p]) == sorted(occupied), p
+
+    @pytest.mark.parametrize("group", [1, 7, 64])
+    def test_passes_of_any_size(self, table, monkeypatch, group):
+        # a prime's residues may be cut between passes anywhere
+        monkeypatch.setattr(certify_module, "_GROUP", group)
+        for lo, hi in ((0, 400), (2, 3_000), (4_000, 4_100), (9_999, 10_007)):
+            assert certify_block(lo, hi, table).tolist() == _per_m(lo, hi, table)
 
     def test_peak_within_the_count(self):
-        # the block, one byte per m, one tiling temporary and the moduli
-        # are what it holds at once; tracemalloc also sees a few hundred
-        # bytes of Python objects (a prime's residue list, the arrays'
-        # headers). The moduli come from the mask: no prime list is built
-        lo, hi = 2, 2_000_000
-        counted = _block_bytes(lo, hi)
-        assert counted <= 2 * (hi - lo + 1) + 8 * math.isqrt(hi)
-        fresh = build_spf(math.isqrt(hi))
-        tracemalloc.start()
-        try:
-            certify_block(lo, hi, fresh)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= counted + 1024, peak - counted
-        assert "prime_list" not in fresh.__dict__
+        # the block, one byte per m, the columns over the primes and one
+        # pass of residues are what it holds at once; tracemalloc also sees
+        # a few hundred bytes of Python objects (the arrays' headers). The
+        # count errs high only by the columns, sized for r // 2 + 1 primes
+        # p <= r. The primes come from the mask: no prime list is built
+        for lo, hi in ((2, 2_000_000), (10**9, 10**9 + 1_000)):
+            r = math.isqrt(hi)
+            counted = _block_bytes(lo, hi)
+            assert counted <= (hi - lo + 1) + 24 * (r // 2 + 1) + _RESIDUE_BYTES * _GROUP
+            fresh = build_spf(r)
+            tracemalloc.start()
+            try:
+                certify_block(lo, hi, fresh)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted + 1024, (lo, peak - counted)
+            assert counted - peak <= 24 * (r // 2 + 1), (lo, counted - peak)
+            assert "prime_list" not in fresh.__dict__
+
+
+# the largest primes p <= isqrt(2^63 - 1) = 3037000499, whose squares are
+# the widest products the kernel forms, and composite moduli beside them,
+# where a^(p - 1) mod p takes many values besides 0 and 1
+_WIDE_MODULI = (3_037_000_493, 3_037_000_453, 3_037_000_429, 3_037_000_499, 3_037_000_498)
+
+
+class TestFermatResidues:
+    def test_matches_pow(self):
+        for p in _WIDE_MODULI[:3]:
+            assert all(p % d for d in range(2, math.isqrt(p) + 1)), p
+        rng = random.Random(20261019)
+        pairs = []
+        for p in _WIDE_MODULI:
+            root = math.isqrt(p)
+            edges = [0, 1, 2, root - 1, root, root + 1, p // 2, p - 2, p - 1]
+            edges += [(1 << 31) - 1, 1 << 31, (1 << 31) + 1]  # past int32
+            pairs += [(a, p) for a in edges]
+            pairs += [(rng.randrange(p), p) for _ in range(500)]
+        for _ in range(2_000):
+            p = rng.randrange(2, 3_037_000_500)
+            pairs.append((rng.randrange(p), p))
+        pairs += [(a, p) for p in (2, 3, 4, 5, 97) for a in range(p)]
+        a, p = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        kept = a.copy(), p.copy()
+        got = _fermat_residues(a, p)
+        assert got.tolist() == [pow(x, q - 1, q) for x, q in pairs]
+        assert np.array_equal(a, kept[0]) and np.array_equal(p, kept[1])
+        assert _fermat_residues(a[:0], p[:0]).size == 0

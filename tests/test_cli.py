@@ -259,12 +259,16 @@ def test_sweep_of_2_63_rows_or_more_exit_3(monkeypatch, capsys, task, lo, hi, si
     # the rows: two columns, uint8 for certify and int64 for bertrand past
     # 2^31, the temporaries of one chunk of 2^17 n, for bertrand the primes
     # of a window of 2^18 values, at most int(2 w / ln w) + 1 = 42022, and
-    # the writer's slice of 2^14 rows
+    # the writer's slice of 2^14 rows; certify's block holds a byte per m,
+    # three int64 columns over at most r // 2 + 1 primes p <= r and one
+    # pass of 2^16 residues at 49 bytes each
     chunk = 2**17
     writer = 2**14 * (4 * (5 * len(str(hi)) + 24) + 64)
     if task == "certify":
         report = 2 * rows + 24 * chunk + writer
-        table = 2 * rows + 8 * math.isqrt(hi), f"certifying the block [{lo}, {hi}]"
+        r = math.isqrt(hi)
+        block = rows + 24 * (r // 2 + 1) + 49 * 2**16
+        table = block, f"certifying the block [{lo}, {hi}]"
     else:
         report = 16 * rows + 64 * chunk + 24 * 42_022 + writer
         table = 4 * (sieve + 1), f"prime counts over [0, {sieve}]"
@@ -333,14 +337,13 @@ def test_exit_3_means_the_budget(args, lo, hi):
     "budget, argv",
     [
         ("181M", ["bertrand", "--from", "4", "--to", "1e7"]),
-        ("340000000", ["certify", "--from", "2", "--to", "7e7"]),
+        ("291700285", ["certify", "--from", "2", "--to", "7e7"]),
     ],
 )
 def test_former_overruns_exit_3(monkeypatch, capsys, budget, argv):
     # each of these ran to a peak RSS well past its budget while it counted
     # only the sieve and the columns; now they are refused before the sieve.
-    # certify to 2 * 10^7, which then overran 340000000 bytes, now counts
-    # 108424381 and runs; to 7 * 10^7 it counts 358455533
+    # certify to 7 * 10^7 counts 291700286 bytes, one more than its budget
     monkeypatch.setattr(sweep, "build_spf", _refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", budget)
     assert call_main([*argv, "--format", "csv"]) == 3
@@ -362,9 +365,8 @@ def test_count_table_over_budget_exit_3():
 
 def test_via_fermat_verdict_table_over_budget_exit_3():
     # the route sieves only to isqrt(4 * 10^6), but its verdict table
-    # holds a byte for every value up to 2 hi - 1, and a tiling temporary
-    # as long while it is built; eleven rows keep the report's columns far
-    # inside the budget
+    # holds a byte for every value up to 2 hi - 1; eleven rows keep the
+    # report's columns far inside the budget
     proc = run_cli(
         "binary",
         "--via-fermat",

@@ -1,8 +1,10 @@
 """The package surface, what importing it and running one command leave
 behind, and the memory-budget footprint of each route."""
 
+import gc
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,36 @@ def test_package_attributes():
     out = fresh_python("import phisystems; print(*(n for n in dir(phisystems) if n[0] != '_'))")
     modules = ["arith", "bertrand", "goldbach", "oracle", "sweep"]
     assert sorted(out.split()) == sorted(phisystems.__all__ + modules)
+
+
+def test_one_program_entry():
+    # python -m phisystems and the console script run the same function
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"\[project\.scripts\]\n(.*)\n", pyproject)[1]
+    assert scripts == 'phisystems = "phisystems.cli:entry"'
+    assert importlib.import_module("phisystems.__main__").entry is cli.entry
+
+
+@pytest.mark.parametrize("budget, status", [(None, 0), ("1", 3)])
+def test_the_program_exits_with_a_frozen_heap(budget, status):
+    # frozen objects are skipped by the collections at shutdown
+    argv = ["phisystems", "certify", "--from", "2", "--to", "99", "--out", os.devnull]
+    code = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('phisystems', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    assert fresh_python(code, PHISYSTEMS_MEMORY_BUDGET=budget).split() == [str(status), "True"]
+
+
+def test_main_leaves_the_heap_collectable(capsys):
+    assert gc.get_freeze_count() == 0
+    assert cli.main(["certify", "29"]) == 0
+    assert "verdict: Prime" in capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
 
 
 def test_one_worker_sweep_imports_no_pool_modules():
@@ -137,11 +169,11 @@ def test_import_runs_openblas_on_one_thread(caller, threads):
 # take 24 bytes each, for int(2 w / ln w) + 1 of them.
 ROUTES = {
     # 9999 rows: 2 * 9999 + 24 * 9999 + 260 * 9999, no walk; the block:
-    # 2 * 9999 and 8 * isqrt(10^4)
+    # 9999, the columns 24 * 51 and the residues 49 * 51 * 100 (r = 100)
     "certify": (
         ["certify", "--from", "2", "--to", "10000"],
         "prime sieve over [2, 10000], 9999 report rows and certifying the block "
-        "[2, 10000] needs 2890513 bytes",
+        "[2, 10000] needs 3130838 bytes",
     ),
     # 997 rows: 8 * 997 + 64 * 997 + 24 * 525 + 240 * 997 (w = 1994);
     # PrimePi: 4 bytes for each of 0..1998
@@ -169,12 +201,12 @@ ROUTES = {
         "prime sieve over [2, 2001], 998 report rows and FFT convolution of length "
         "2048 needs 424803 bytes",
     ),
-    # the verdicts: 2 * 4000 + 8 * isqrt(3999) bytes, then the binary count
-    # table over them; 1997 rows from n = 4
+    # the verdicts: 4000 + 24 * 32 + 49 * 32 * 63 bytes (r = 63), then the
+    # binary count table over them; 1997 rows from n = 4
     "via-fermat": (
         ["binary", "--via-fermat", "--from", "4", "--to", "2000"],
         "prime sieve over [2, 63], 1997 report rows, verdict table over [0, 3999] "
-        "and FFT convolution of length 4096 needs 820304 bytes",
+        "and FFT convolution of length 4096 needs 915352 bytes",
     ),
     # no count table
     "first-witness": (
