@@ -7,7 +7,9 @@ The checks are evaluated by square-and-multiply modular exponentiation,
 never by a divisibility test.
 
 ``certify`` and ``certify_verdict`` run the system for one m, by the
-built-in ``pow``, and a certificate carries the checks it performed.
+built-in ``pow``. A certificate carries the checks it performed as two
+int64 columns, the moduli p and the residues m^(p-1) mod p; the sweep's
+report writer renders it.
 ``certify_block`` gives the verdicts of a whole block of m at once:
 m^(p-1) mod p depends only on the residue class of m mod p, so for each
 prime p it evaluates the congruence once for each class the block's m
@@ -30,7 +32,6 @@ from .arith import SpfTable
 
 __all__ = [
     "Certificate",
-    "CongruenceCheck",
     "Verdict",
     "certify",
     "certify_block",
@@ -44,29 +45,21 @@ class Verdict(enum.Enum):
     COMPOSITE = "Composite"
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceCheck:
-    """One evaluated congruence base^exponent mod modulus, exponent = modulus - 1."""
-
-    modulus: int
-    base: int
-    exponent: int
-    residue: int
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Certificate:
     """Outcome of certifying ``subject`` against its congruence system.
 
-    ``checks`` holds the evaluated congruences in increasing modulus order.
-    By default the scan stops at the first failing modulus, so a composite
-    certificate carries the prefix of the system up to and including the
-    failure; pass ``full_checks=True`` to :func:`certify` to retain the
-    whole system.
+    The evaluated congruences subject^(p-1) mod p are two read-only int64
+    columns in increasing modulus order: ``moduli`` holds each p and
+    ``residues`` its residue. By default the scan stops at the first
+    failing modulus, so a composite certificate carries the prefix of the
+    system up to and including the failure; pass ``full_checks=True`` to
+    :func:`certify` to retain the whole system.
     """
 
     subject: int
-    checks: tuple[CongruenceCheck, ...]
+    moduli: np.ndarray
+    residues: np.ndarray
     verdict: Verdict
     failing_modulus: int | None
 
@@ -118,20 +111,19 @@ def certify(m: int, table: SpfTable, *, full_checks: bool = False) -> Certificat
     verdict is Prime iff every residue equals 1; otherwise the smallest
     failing modulus is recorded (and necessarily divides m).
     """
-    bound = _scan_bound(m, table)
-    plist = table.prime_list
-    checks: list[CongruenceCheck] = []
-    failing: int | None = None
-    for i in range(bound):
-        p = plist[i]
-        residue = pow(m, p - 1, p)
-        checks.append(CongruenceCheck(modulus=p, base=m, exponent=p - 1, residue=residue))
-        if residue != 1 and failing is None:
+    primes = table.prime_list[: _scan_bound(m, table)]
+    residues, failing = [], None
+    for p in primes:
+        residues.append(pow(m, p - 1, p))
+        if residues[-1] != 1 and failing is None:
             failing = p
             if not full_checks:
                 break
+    moduli = np.array(primes[: len(residues)], np.int64)
+    residues = np.array(residues, np.int64)
+    moduli.flags.writeable = residues.flags.writeable = False
     verdict = Verdict.PRIME if failing is None else Verdict.COMPOSITE
-    return Certificate(subject=m, checks=tuple(checks), verdict=verdict, failing_modulus=failing)
+    return Certificate(m, moduli, residues, verdict, failing)
 
 
 # Residues per pass of the vectorised square-and-multiply: the bound on its

@@ -2,32 +2,31 @@
 
 Subcommands mirror the verification tasks; each sweeps [--from, --to] and
 writes exactly one report to stdout (or --out), with progress and summary
-lines on stderr only. Exit codes: 0 when the statement held, 1 when a
-failure was found, 2 on usage errors (an unwritable --out or
---emit-counts path among them), 3 when a sweep's footprint, or the sieve
-or the checks of a single certificate, would exceed the memory budget
-(override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 +
-SIGPIPE), with no message, when the reader of the output closes it early,
-as ``| head`` does.
+lines on stderr only; ``certify m`` writes one certificate instead. The
+sweep's one writer renders both, and each is written a slice at a time.
+Exit codes: 0 when the statement held, 1 when a failure was found, 2 on
+usage errors (an unwritable --out or --emit-counts path among them), 3
+when a sweep's footprint, or the sieve or the checks of a single
+certificate, would exceed the memory budget (override with
+PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 + SIGPIPE), with no
+message, when the reader of the output closes it early, as ``| head``
+does.
 """
 
 import argparse
-import dataclasses
 import decimal
 import gc
-import itertools
-import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .arith import _sieve_bytes, build_spf
 from .certify import certify
-from .sweep import DEFAULT_MEMORY_BUDGET, FORMATS, TASKS, MemoryBudgetError
-from .sweep import SweepOptions, _check_budget, _report_slices, _text_bytes, run_sweep
+from .sweep import DEFAULT_MEMORY_BUDGET, FORMATS, TASKS, MemoryBudgetError, SweepOptions
+from .sweep import _certificate_slices, _check_budget, _report_slices, run_sweep
 
 __all__ = ["entry", "main"]
 
@@ -137,44 +136,17 @@ def _write(parts: Iterable[bytes], path: str | None, what: str) -> None:
     print(f"{what} written to {path}", file=sys.stderr)
 
 
-def _certificate_table(cert):
-    yield f"subject: {cert.subject}"
-    yield f"verdict: {cert.verdict.value}"
-    root = math.isqrt(cert.subject)
-    yield f"congruences over primes p <= isqrt({cert.subject}) = {root}:"
-    if not cert.checks:
-        yield "  (empty system)"
-    for c in cert.checks:
-        mark = "" if c.residue == 1 else "   <- fails"
-        yield f"  {c.base}^{c.exponent} mod {c.modulus} = {c.residue}{mark}"
-    if cert.failing_modulus is not None:
-        yield f"failing modulus: {cert.failing_modulus}"
-
-
-def _certificate_bytes(cert, fmt: str) -> bytes:
-    if fmt == "json":
-        obj = {
-            "subject": cert.subject,
-            "verdict": cert.verdict.value,
-            "failing_modulus": cert.failing_modulus,
-            "checks": [dataclasses.asdict(c) for c in cert.checks],
-        }
-        return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
-    if fmt == "csv":
-        rows = (f"{c.modulus},{c.base},{c.exponent},{c.residue}" for c in cert.checks)
-        return _text_bytes(itertools.chain(["modulus,base,exponent,residue"], rows))
-    return _text_bytes(_certificate_table(cert))
-
-
 # The most one congruence check of a single certificate holds while it is
-# rendered: the check, its prime-list entry and its share of the output.
-# tracemalloc puts it at 480-490 bytes in JSON (a dict per check), 200-210
-# in CSV and 220-230 in the table, for m = 10^12 and 10^14 (78498 and
-# 664579 checks).
-_CHECK_BYTES = 512
+# rendered: its prime-list entry, its modulus and residue, and its share of
+# the writer's one slice of at most 2^14 rows. tracemalloc, from before
+# certify to the last slice, the sieve apart, puts it at 116 bytes in JSON,
+# 83 in CSV and 90 in the table for m = 10^12 + 39 (78498 checks), at 73 in
+# each for m = 10^14 + 31 (664579), and, with a row of the slice per check,
+# at 253-265 in JSON for m from 10^6 + 3 to 10^10 + 19 (168 to 9592).
+_CHECK_BYTES = 272
 
 
-def _single_certificate(args, budget: int) -> bytes:
+def _single_certificate(args, budget: int) -> Iterator[bytes]:
     m = args.m
     # m < 2 still gets a table, so certify reports its own domain error
     limit = math.isqrt(max(m, 4))
@@ -184,7 +156,7 @@ def _single_certificate(args, budget: int) -> bytes:
     checks = int(np.count_nonzero(table.is_prime_mask[: math.isqrt(max(m, 0)) + 1]))
     what = f"the certificate of {m} with {checks} congruence checks"
     _check_budget([(_sieve_bytes(limit) + _CHECK_BYTES * checks, what)], budget)
-    return _certificate_bytes(certify(m, table, full_checks=True), args.format)
+    return _certificate_slices(certify(m, table, full_checks=True), args.format)
 
 
 def main(argv=None) -> int:
@@ -213,7 +185,7 @@ def main(argv=None) -> int:
     report = None
     try:
         if single:
-            parts = [_single_certificate(args, budget)]
+            parts = _single_certificate(args, budget)
         else:
             if args.lo is None or args.hi is None:
                 parser.error("--from and --to are required for a range sweep")

@@ -26,7 +26,8 @@ dtype its values' bound allows: the witness count (uint8 where it is 0 or
 1, int64 for triple counts), the first witness x (-1 where none was
 found) and y for triple tasks, int32 while hi < 2^31, and certify's
 verdict as a uint8 0 or 1. The n of a row is its place in the range. One
-writer renders every format from the columns, 2^14 rows at a time: two
+writer renders every format, of reports from these columns and of single
+certificates from their moduli and residues, 2^14 rows at a time: two
 digits a pass, from the remainder by 100, into a byte matrix whose unused
 places hold 0 and are dropped.
 
@@ -40,13 +41,12 @@ report object and in the human table format.
 """
 
 import contextlib
-import itertools
 import json
 import math
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import goldbach, oracle
 from .arith import PrimePi, SpfTable, _sieve_bytes, build_spf
-from .certify import _block_bytes, certify_block
+from .certify import Certificate, _block_bytes, certify_block
 
 __all__ = [
     "CSV_HEADER",
@@ -153,22 +153,6 @@ class RangeReport:
             cells = x
         cells = [cell if v >= 0 else None for cell, v in zip(cells, x)]
         return tuple(zip(self.ns, self.count.tolist(), cells))
-
-
-_TEXT_SLICE = 1 << 14  # lines joined and encoded at a time
-
-
-def _text_bytes(lines: Iterable[str]) -> bytes:
-    """The lines, each ended by a newline, as bytes: the writer of the
-    table's header and failures lines and of every certificate. The lines
-    are joined and encoded a fixed slice at a time, so a renderer holds the
-    bytes and one slice of text, never a list of every line besides them."""
-    lines = iter(lines)
-    parts = []
-    while piece := list(itertools.islice(lines, _TEXT_SLICE)):
-        piece.append("")
-        parts.append("\n".join(piece).encode())
-    return b"".join(parts)
 
 
 _ROW_SLICE = 1 << 14  # report rows rendered at a time, so their passes stay in cache
@@ -314,15 +298,56 @@ def _report_slices(report: RangeReport, fmt: str) -> Iterator[bytes]:
             wn = len(str(report.ns[-1]))
             pads = (wn, max(len("witnesses"), len(str(int(report.count.max())))))
             lines.append(f"{'n':>{wn}}  {'witnesses':>{pads[1]}}  first")
-        head = _text_bytes(lines)
+        head = "".join(f"{line}\n" for line in lines).encode()
         if report.failures:
             shown = ", ".join(str(n) for n in report.failures[:50])
             more = "" if len(report.failures) <= 50 else ", ..."
-            tail = _text_bytes([f"failures: {shown}{more}"])
+            tail = f"failures: {shown}{more}\n".encode()
     yield head
     for i in range(0, report.checked, _ROW_SLICE):
         rows = slice(i, min(i + _ROW_SLICE, report.checked))
         yield _rows_bytes(_segments(report, fmt, rows, pads), rows.stop - rows.start)
+    yield tail
+
+
+def _certificate_slices(cert: Certificate, fmt: str) -> Iterator[bytes]:
+    """The certificate in fmt, one of FORMATS, as consecutive byte strings
+    by the reports' writer: the head, a slice of _ROW_SLICE checks at a
+    time, and the tail. A check's row holds its modulus p, the subject as
+    literal text, so that an m of any size renders, p - 1 and the residue."""
+    m, failing, checks = cert.subject, cert.failing_modulus, len(cert.moduli)
+    base, tail = str(m).encode(), b""
+    if fmt == "json":
+        header = {"subject": m, "verdict": cert.verdict.value, "failing_modulus": failing}
+        # the checks go in as the last key of the same object
+        head = json.dumps(header, separators=(",", ":"))[:-1].encode() + b',"checks":['
+        tail = b"]}\n"
+    elif fmt == "csv":
+        head = b"modulus,base,exponent,residue\n"
+    else:
+        root = f"congruences over primes p <= isqrt({m}) = {math.isqrt(m)}:"
+        lines = [f"subject: {m}", f"verdict: {cert.verdict.value}", root]
+        if not checks:
+            lines.append("  (empty system)")
+        head = "".join(f"{line}\n" for line in lines).encode()
+        if failing is not None:
+            tail = f"failing modulus: {failing}\n".encode()
+    yield head
+    for i in range(0, checks, _ROW_SLICE):
+        rows = slice(i, min(i + _ROW_SLICE, checks))
+        moduli, residues = cert.moduli[rows], cert.residues[rows]
+        p, e, r = _Seg(values=moduli), _Seg(values=moduli - 1), _Seg(values=residues)
+        if fmt == "json":
+            between = _Seg(b",", rows=np.arange(rows.start, rows.stop) > 0)
+            segments = [between, _Seg(b'{"modulus":'), p, _Seg(b',"base":' + base)]
+            segments += [_Seg(b',"exponent":'), e, _Seg(b',"residue":'), r, _Seg(b"}")]
+        elif fmt == "csv":
+            segments = [p, _Seg(b"," + base + b","), e, _Seg(b","), r, _Seg(b"\n")]
+        else:
+            fails = _Seg(b"   <- fails", rows=residues != 1)
+            segments = [_Seg(b"  " + base + b"^"), e, _Seg(b" mod "), p, _Seg(b" = ")]
+            segments += [r, fails, _Seg(b"\n")]
+        yield _rows_bytes(segments, rows.stop - rows.start)
     yield tail
 
 
@@ -404,13 +429,20 @@ def _rows_certify(ns, rt, options):
     return ok, (ok.astype(np.uint8), verdicts.astype(np.uint8))
 
 
+_GAP_WINDOW = 64  # values past a bertrand chunk first searched for the next prime
+
+
 def _rows_bertrand(ns, rt, options):
     a, b = ns.start, ns[-1]
     n = np.arange(a, b + 1)
     mask, top = rt.primes, 2 * b - 2
-    # the next prime above b, from the stretch past the chunk (argmax stops
-    # at its first prime), or top when none lies below it; b >= 4
-    past = mask[b + 1 : top]
+    # the next prime above b, or top when none lies below it (b >= 4), from
+    # a stretch past the chunk that doubles until it holds a prime or
+    # reaches top, so that argmax copies a few gaps, never all up to top
+    width = _GAP_WINDOW
+    while not mask[b + 1 : b + 1 + width].any() and b + 1 + width < top:
+        width *= 2
+    past = mask[b + 1 : min(b + 1 + width, top)]
     i = int(past.argmax())
     beyond = b + 1 + i if past[i] else top
     # the primes p with a < p <= b, then the next one

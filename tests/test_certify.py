@@ -56,13 +56,20 @@ class TestFermatCongruence:
 class TestCertify:
     def test_worked_examples(self, table):
         c = certify(2, table)
-        assert c.verdict is Verdict.PRIME and c.checks == ()
+        assert c.verdict is Verdict.PRIME and c.moduli.size == c.residues.size == 0
         c = certify(25, table)
         assert c.verdict is Verdict.COMPOSITE and c.failing_modulus == 5
         c = certify(29, table)
         assert c.verdict is Verdict.PRIME
-        assert [k.modulus for k in c.checks] == [2, 3, 5]
-        assert all(k.residue == 1 for k in c.checks)
+        assert c.moduli.tolist() == [2, 3, 5]
+        assert c.residues.tolist() == [1, 1, 1]
+
+    def test_checks_are_read_only_int64_columns(self, table):
+        for m in (2, 45, 1_000_003):
+            cert = certify(m, table, full_checks=True)
+            for column in (cert.moduli, cert.residues):
+                assert column.dtype == np.int64 and not column.flags.writeable
+            assert not hasattr(cert, "checks")
 
     def test_rejects_m_below_two(self, table):
         for m in (0, 1):
@@ -94,8 +101,8 @@ class TestCertify:
     @given(st.integers(min_value=2, max_value=1_000_000))
     def test_full_system_size(self, table, pi, m):
         cert = certify(m, table, full_checks=True)
-        assert len(cert.checks) == pi.prime_pi(math.isqrt(m))
-        assert [k.exponent for k in cert.checks] == [k.modulus - 1 for k in cert.checks]
+        assert len(cert.moduli) == len(cert.residues) == pi.prime_pi(math.isqrt(m))
+        assert cert.residues.tolist() == [pow(m, p - 1, p) for p in cert.moduli.tolist()]
 
     @given(st.integers(min_value=4, max_value=1_000_000))
     def test_composite_failing_modulus(self, table, m):
@@ -105,14 +112,16 @@ class TestCertify:
             assert m % cert.failing_modulus == 0
             if m <= table.limit:
                 assert cert.failing_modulus == table.factorize(m)[0][0]
-            assert cert.checks[-1].modulus == cert.failing_modulus
-            assert cert.checks[-1].residue != 1
+            assert cert.moduli[-1] == cert.failing_modulus
+            assert cert.residues[-1] != 1
+            assert (cert.residues[:-1] == 1).all()
 
     def test_short_circuit_vs_full(self, table):
         fast = certify(45, table)
-        assert [k.modulus for k in fast.checks] == [2, 3]
+        assert fast.moduli.tolist() == [2, 3]
         full = certify(45, table, full_checks=True)
-        assert [k.modulus for k in full.checks] == [2, 3, 5]
+        assert full.moduli.tolist() == [2, 3, 5]
+        assert full.residues.tolist() == [1, 0, 0]
         assert fast.failing_modulus == full.failing_modulus == 3
 
     def test_perfect_square_caught_at_root(self, table):
@@ -125,7 +134,7 @@ class TestCertify:
         # pi(sqrt(n)) and pi(sqrt(2n - 3))
         n = 5000
         sizes = {
-            len(certify(n + x, table, full_checks=True).checks)
+            len(certify(n + x, table, full_checks=True).moduli)
             for x in range(1, n - 2, 97)
         }
         assert min(sizes) >= pi.prime_pi(math.isqrt(n))

@@ -6,20 +6,26 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phisystems
 from phisystems import cli, goldbach, sweep
 
 from conftest import child_peak_rss
+
+
+# the package's source directory, so that a checkout runs without an install
+SRC = str(Path(phisystems.__file__).parents[1])
 
 
 def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "phisystems", *args],
         capture_output=True,
-        env={**os.environ, **(env or {})},
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
     )
     return proc
 
@@ -96,14 +102,14 @@ def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags
 
 def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
     # 10^10 + 19 takes the 9592 primes up to 10^5: the sieve's 100 KB fit
-    # in 1 MiB, the checks at 512 bytes each do not, and none is made
+    # in 1 MiB, the checks at 272 bytes each do not, and none is made
     def refuse(*args, **kwargs):
         raise AssertionError("certify ran past the budget")
 
     monkeypatch.setattr(cli, "certify", refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "1M")
     assert call_main(["certify", "10000000019", "--format", "csv"]) == 3
-    needed = (10**5 + 1) + 512 * 9592
+    needed = (10**5 + 1) + 272 * 9592
     assert capsys.readouterr().err == (
         "error: the certificate of 10000000019 with 9592 congruence checks "
         f"needs {needed} bytes, budget is {1 << 20}\n"
@@ -154,11 +160,13 @@ def test_closed_stdout_exits_141_quietly(lines):
     # does, while 2*10^5 rows still fill the pipe; stdout buffered, as it is
     # by default, so the interpreter flushes it once more at exit
     argv = ["binary", "--from", "2", "--to", "200000", "--first-witness-only", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "phisystems", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+        env=env,
     )
     for _ in range(lines):
         assert proc.stdout.readline() == b"n,witness_count,first_witness\n"
@@ -299,7 +307,8 @@ def test_streamed_report_peak_rss(tmp_path):
         f"subprocess.run([sys.executable, '-m', 'phisystems', *{argv!r}], check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, env=env)
     peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
     assert out.stat().st_size > 2 * 10**7
     assert peak_mib < 150, peak_mib

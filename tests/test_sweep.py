@@ -1,8 +1,10 @@
 import concurrent.futures
 import json
+import math
 import os
 import random
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phisystems import bertrand, goldbach, sweep
-from phisystems.arith import build_spf
+from phisystems.arith import PrimePi, build_spf
+from phisystems.certify import certify
 from phisystems.sweep import (
     CSV_HEADER,
     TASKS,
@@ -417,14 +420,78 @@ def test_narrow_columns_match_the_int64_reference(route, first_witness_only):
             assert _render(report, fmt) == expected, fmt
 
 
-SLICE = sweep._TEXT_SLICE
+def reference_certificate(m, primes, full_checks, fmt) -> bytes:
+    """The certificate of m over primes, the primes p <= isqrt(m), rendered
+    one check at a time as the renderer the writer replaced did: json.dumps
+    of a dict per check, or f-strings. The residues come from pow here."""
+    checks = []
+    for p in primes:
+        checks.append((p, pow(m, p - 1, p)))
+        if checks[-1][1] != 1 and not full_checks:
+            break
+    failing = next((p for p, r in checks if r != 1), None)
+    verdict = "Prime" if failing is None else "Composite"
+    if fmt == "json":
+        obj = {
+            "subject": m,
+            "verdict": verdict,
+            "failing_modulus": failing,
+            "checks": [
+                {"modulus": p, "base": m, "exponent": p - 1, "residue": r} for p, r in checks
+            ],
+        }
+        return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    if fmt == "csv":
+        lines = ["modulus,base,exponent,residue", *(f"{p},{m},{p - 1},{r}" for p, r in checks)]
+    else:
+        lines = [
+            f"subject: {m}",
+            f"verdict: {verdict}",
+            f"congruences over primes p <= isqrt({m}) = {math.isqrt(m)}:",
+        ]
+        if not checks:
+            lines.append("  (empty system)")
+        for p, r in checks:
+            lines.append(f"  {m}^{p - 1} mod {p} = {r}" + ("" if r == 1 else "   <- fails"))
+        if failing is not None:
+            lines.append(f"failing modulus: {failing}")
+    return "".join(f"{line}\n" for line in lines).encode()
 
 
-@pytest.mark.parametrize("count", [0, 1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
-def test_text_bytes_across_slices(count):
-    lines = [f"line {i}" for i in range(count)]
-    expected = "".join(f"{line}\n" for line in lines).encode()
-    assert sweep._text_bytes(iter(lines)) == expected
+def _assert_certificate_matches_reference(m, table, full_checks):
+    cert = certify(m, table, full_checks=full_checks)
+    primes = table.prime_list[: bisect_right(table.prime_list, math.isqrt(m))]
+    for fmt in ("json", "csv", "table"):
+        got = b"".join(sweep._certificate_slices(cert, fmt))
+        assert got == reference_certificate(m, primes, full_checks, fmt), fmt
+
+
+# 2 * 3 * 5 * 7 * 11 * 13 * 17 * 1958887, which 23 divides too: eight
+# failing moduli among 78,499 checks, several slices of 2^14 rows, as the
+# 78,498 of 10^12 + 39 are
+MANY_FAILURES = 510_510 * 1_958_887
+
+
+@pytest.mark.parametrize(
+    "m, full_checks",
+    [
+        (2, False),
+        (49, False),
+        (45, True),
+        (10**12 + 39, False),
+        (MANY_FAILURES, True),
+        (MANY_FAILURES, False),
+    ],
+)
+def test_certificate_writer_matches_reference(wide_table, m, full_checks):
+    _assert_certificate_matches_reference(m, wide_table, full_checks)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_certificate_slices_of_any_size(table, monkeypatch, rows):
+    monkeypatch.setattr(sweep, "_ROW_SLICE", rows)
+    for m, full_checks in [(2, True), (45, True), (1_000_003, False), (30_030 * 997, True)]:
+        _assert_certificate_matches_reference(m, table, full_checks)
 
 
 def test_text_renderers_peak_near_their_output():
@@ -838,16 +905,52 @@ def test_windows_match_the_whole_prefix(wide_table, monkeypatch, lo, hi):
             monkeypatch.setattr(goldbach, "_SUM_BLOCK", block)
             got = goldbach._two_prime_sums(totals, SimpleNamespace(is_prime_mask=mask))
             assert np.array_equal(got, sums)
-    # bertrand's rows: every prime below 2 hi - 2 searched at once
-    primes = np.flatnonzero(sieve[: 2 * hi - 2])
+    for width in (7, 1000, 1 << 17):  # a stretch between chunk and window at 7
+        monkeypatch.setattr(sweep, "_CHUNK", width)
+        _assert_bertrand_matches_the_whole_prefix(wide_table, lo, hi)
+
+
+def _assert_bertrand_matches_the_whole_prefix(table, lo, hi):
+    """bertrand's rows on [lo, hi] against every prime below 2 hi - 2
+    searched at once, in both modes."""
+    m = np.arange(lo, hi + 1)
+    primes = np.flatnonzero(table.is_prime_mask[: 2 * hi - 2])
     after = np.searchsorted(primes, m, side="right")
     count = np.searchsorted(primes, 2 * m - 2) - after
     x = np.where(count > 0, primes.take(after, mode="clip") - m, -1)
-    for width in (7, 1000, 1 << 17):  # a stretch between chunk and window at 7
-        monkeypatch.setattr(sweep, "_CHUNK", width)
-        for options in (SweepOptions(), SweepOptions(first_witness_only=True)):
-            report = run_sweep("bertrand", lo, hi, options, table=wide_table)
-            want = count if options == SweepOptions() else (count > 0).astype(np.int64)
-            assert np.array_equal(report.count, want)
-            assert np.array_equal(report.x, x)
-            assert report.failures == ()
+    for options in (SweepOptions(), SweepOptions(first_witness_only=True)):
+        report = run_sweep("bertrand", lo, hi, options, table=table)
+        want = count if options == SweepOptions() else (count > 0).astype(np.int64)
+        assert np.array_equal(report.count, want)
+        assert np.array_equal(report.x, x)
+        assert report.failures == ()
+
+
+# each hi is a prime followed by a gap wider than the first window: 72 after
+# 31397, 112 after 370261 and 114 after 492113
+@pytest.mark.parametrize("hi", [31_397, 370_261, 492_113])
+@pytest.mark.parametrize("window", [1, 3, sweep._GAP_WINDOW])
+def test_bertrand_next_prime_window_doubles(wide_table, monkeypatch, hi, window):
+    # chunks of 1000 n end at hi and below it; past 492113 a first window
+    # of 1 value doubles six times
+    monkeypatch.setattr(sweep, "_CHUNK", 1000)
+    monkeypatch.setattr(sweep, "_GAP_WINDOW", window)
+    _assert_bertrand_matches_the_whole_prefix(wide_table, hi - 4999, hi)
+
+
+def test_bertrand_chunk_peak_within_its_row_bytes():
+    # the next prime past a chunk ending at 10^7 is read from windows of a
+    # few gaps, not from a copy of the 10^7 values below 2 * 10^7 - 2
+    hi = 10**7
+    table = build_spf(2 * hi - 2)
+    rt = sweep._Runtime(table, table.is_prime_mask, pi=PrimePi.from_spf(table))
+    ns = range(hi - sweep._CHUNK + 1, hi + 1)
+    counted = sweep._SPECS["bertrand"].row_bytes * len(ns)
+    for options in (SweepOptions(first_witness_only=True), SweepOptions()):
+        tracemalloc.start()
+        try:
+            sweep._rows_bertrand(ns, rt, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < counted, (options, peak, counted)
