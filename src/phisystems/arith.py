@@ -12,7 +12,7 @@ unfactored part.
 it into its footprint before anything is built.
 
 Tables are immutable after construction (the sieve array is not
-writeable) and safe to share across threads or forked worker processes.
+writeable) and safe to share across threads.
 """
 
 import itertools

@@ -26,7 +26,7 @@ import numpy as np
 from .arith import _sieve_bytes, build_spf
 from .certify import certify
 from .sweep import DEFAULT_MEMORY_BUDGET, FORMATS, TASKS, MemoryBudgetError, SweepOptions
-from .sweep import _certificate_slices, _check_budget, _report_slices, run_sweep
+from .sweep import _certificate_slices, _check_budget, _report_slices, _slice_bytes, run_sweep
 
 __all__ = ["entry", "main"]
 
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="enumerate through paired congruence certifications (needs n > 3)",
             )
-        sp.add_argument("--threads", type=int, default=1, help="worker processes")
+        sp.add_argument("--threads", type=int, default=1, help="worker threads")
         sp.add_argument(
             "--emit-counts",
             metavar="PATH",
@@ -136,14 +136,14 @@ def _write(parts: Iterable[bytes], path: str | None, what: str) -> None:
     print(f"{what} written to {path}", file=sys.stderr)
 
 
-# The most one congruence check of a single certificate holds while it is
-# rendered: its prime-list entry, its modulus and residue, and its share of
-# the writer's one slice of at most 2^14 rows. tracemalloc, from before
-# certify to the last slice, the sieve apart, puts it at 116 bytes in JSON,
-# 83 in CSV and 90 in the table for m = 10^12 + 39 (78498 checks), at 73 in
-# each for m = 10^14 + 31 (664579), and, with a row of the slice per check,
-# at 253-265 in JSON for m from 10^6 + 3 to 10^10 + 19 (168 to 9592).
-_CHECK_BYTES = 272
+# What one congruence check of a single certificate holds at certify's
+# peak: its prime-list entry, its modulus and residue, and the lists they
+# are built from. tracemalloc, the sieve apart, puts it at 72.7-72.9 bytes
+# for m from 10^10 + 19 to 10^15 + 37 (9592 to 1951957 checks) and at 63.5
+# for m = 10^6 + 3 (168). While the writer renders them, the checks hold 56
+# bytes each and its slice at most 305 bytes a row, which _slice_bytes
+# over-counts.
+_CHECK_BYTES = 73
 
 
 def _single_certificate(args, budget: int) -> Iterator[bytes]:
@@ -155,7 +155,12 @@ def _single_certificate(args, budget: int) -> Iterator[bytes]:
     # certify keeps one check per prime p <= isqrt(m), all held at once
     checks = int(np.count_nonzero(table.is_prime_mask[: math.isqrt(max(m, 0)) + 1]))
     what = f"the certificate of {m} with {checks} congruence checks"
-    _check_budget([(_sieve_bytes(limit) + _CHECK_BYTES * checks, what)], budget)
+    # the writer's slice holds JSON rows, the widest: m, and a modulus, p - 1
+    # and a residue of at most the digits of limit each, in 44 characters
+    # of keys and marks
+    chars = len(str(m)) + 3 * len(str(limit)) + 44
+    needed = _sieve_bytes(limit) + _CHECK_BYTES * checks + _slice_bytes(checks, chars)
+    _check_budget([(needed, what)], budget)
     return _certificate_slices(certify(m, table, full_checks=True), args.format)
 
 

@@ -32,12 +32,14 @@ digits a pass, from the remainder by 100, into a byte matrix whose unused
 places hold 0 and are dropped.
 
 A sweep cuts the eligible n into contiguous chunks of a fixed width, 2^17
-n, runs the chunks in this process on one worker or on forked workers (at
-most one per usable CPU and one per chunk, so a sweep of one chunk never
-forks, nor does a certify sweep), and merges the columns in range order, so the report is identical
-for any worker count. For the same reason the JSON and CSV renderings
-carry no timing or parallelism information; elapsed time lives on the
-report object and in the human table format.
+n, runs the chunks in line on one worker or on a pool of threads (at most
+one per usable CPU and one per chunk, so a sweep of one chunk starts no
+pool), which read the tables built before the chunks start and release
+the interpreter lock in their numpy passes, and merges the columns in
+range order, so the report is identical for any worker count. For the
+same reason the JSON and CSV renderings carry no timing or parallelism
+information; elapsed time lives on the report object and in the human
+table format.
 """
 
 import contextlib
@@ -156,6 +158,14 @@ class RangeReport:
 
 
 _ROW_SLICE = 1 << 14  # report rows rendered at a time, so their passes stay in cache
+
+
+def _slice_bytes(rows: int, chars: int) -> int:
+    """What the writer holds for its one slice of a text of rows rows, each
+    of at most chars characters: per row, up to _ROW_SLICE of them, 4 bytes
+    per character (the byte matrix, its bytes, and them without their 0s)
+    and 64 of digit passes and row masks."""
+    return min(rows, _ROW_SLICE) * (4 * chars + 64)
 
 
 class _Seg(NamedTuple):
@@ -583,7 +593,6 @@ class _Task(NamedTuple):
     # widest window of primes the chunk's rows walk, if any
     row_bytes: int = 0
     walk: Callable[[int, int], int] = lambda width, hi: 0
-    forks: bool = True  # whether its chunks may run on forked workers
 
 
 def _pairs(n):
@@ -604,12 +613,9 @@ def _triples(n):
 
 
 _SPECS = {
-    # a certify row is one comparison, cheaper than pickling its columns
-    # back from a worker: certify --from 2 --to 4e6 --format csv took 0.94 s
-    # on 1 worker and 1.14 s on 2 when it forked (median of 7, 2-vCPU guest)
     "certify": _Task(
         lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
-        (_flag, _flag), row_bytes=24, forks=False,
+        (_flag, _flag), row_bytes=24,
     ),
     # the walk: the chunk's primes, then, not held with them, the primes of a
     # window [c, 2 max(n) - 2) of at most 2 width values
@@ -660,15 +666,14 @@ def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[i
     walked primes in each worker, 24 bytes per walked prime (fewer than
     2w / ln w, plus the walk's end, in a window of w values, by Montgomery
     and Vaughan's Brun-Titchmarsh bound),
-    and the writer's slice: per row, 4 bytes per character, of at most
-    5d + 24 for d digits of hi (the byte matrix, its bytes, and them
-    without their 0s), and 64 of digit passes and row masks."""
+    and the writer's slice, of rows of at most 5d + 24 characters for d
+    digits of hi."""
     row = sum(np.dtype(dtype).itemsize for dtype in _dtypes(spec, hi, options))
     report = row * rows + spec.row_bytes * min(rows, _CHUNK * workers)
     walk = spec.walk(min(rows, _CHUNK), hi)
     if walk > 1:
         report += 24 * workers * (int(2 * walk / math.log(walk)) + 1)
-    report += min(rows, _ROW_SLICE) * (4 * (5 * len(str(hi)) + 24) + 64)
+    report += _slice_bytes(rows, 5 * len(str(hi)) + 24)
     parts = [(_sieve_bytes(need), f"prime sieve over [2, {need}]")]
     parts.append((report, f"{rows} report rows"))
     return parts + [t.bytes(task, ns, hi, need) for t in _tables(spec, options)]
@@ -687,14 +692,6 @@ def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
     return columns, failures
 
 
-# the running sweep's state; forked workers inherit it read-only
-_WORKER_STATE: tuple[_Task, SweepOptions, _Runtime] | None = None
-
-
-def _chunk_entry(ns: range):
-    return _compute_chunk(*_WORKER_STATE, ns)
-
-
 def _worker_count(threads: int) -> int:
     """threads, at least 1 and at most the CPUs this process may use."""
     try:
@@ -705,15 +702,14 @@ def _worker_count(threads: int) -> int:
 
 
 # A sweep cuts its n into contiguous chunks of _CHUNK n, the last perhaps
-# shorter, and runs on at most one worker per chunk. On a 2-vCPU guest a
-# pool of 2 forked workers costs 39-60 ms to import, fork and join (7
-# runs). Since the pair kernel's offset phase, a chunk of 2^17 n near 10^6
-# costs 10-15 ms of first-witness pair rows (binary, ternary, peculiar),
-# 17 ms of proposition rows with their two-prime sums, 5 ms of bertrand's
-# and 0.03 ms of certify's (in process, best of 7). A chunk of the
-# costliest rows thus costs under half the pool, so a sweep of one chunk
-# runs in this process, and the temporaries and walked primes of a chunk
-# stay fixed as ranges grow.
+# shorter, and runs on at most one worker per chunk. The width bounds what
+# the workers hold: a chunk's temporaries and walked primes stay fixed as
+# ranges grow. The pool's cost does not set it: on a 2-vCPU guest, importing
+# the thread pool takes 7-11 ms in a fresh process and starting, mapping and
+# joining one 0.3-0.5 ms (9 runs), while a chunk of 2^17 n near 10^6 costs
+# 3-10 ms of bertrand, pair and triple rows, counted or first witness only,
+# 12 ms of proposition rows with their two-prime sums and 0.03 ms of
+# certify's (best of 7).
 _CHUNK = 1 << 17
 
 
@@ -758,14 +754,19 @@ def run_sweep(
     started = time.perf_counter()
     start = max(lo, spec.first)
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
+    reach = None
     if options.verify_against_oracle and ns and spec.reach:
-        oracle._refuse_past_limit(*spec.reach(ns[-1]))
+        reach = spec.reach(ns[-1])
+        oracle._refuse_past_limit(*reach)
     need = max(spec.sieve(hi), 4)
     rows = max(0, (hi - ns.start) // spec.step + 1)  # len(ns) stops at 2^63 - 1
-    threads = options.threads if spec.forks else 1
-    workers = min(_worker_count(threads), -(-rows // _CHUNK))  # one per chunk
+    workers = min(_worker_count(options.threads), -(-rows // _CHUNK))  # one per chunk
     parts = _footprint(task, spec, ns, hi, need, rows, workers, options)
     _check_budget(parts, options.memory_budget)
+    if reach:
+        # the oracle's prime cache grows without a lock: grown once here,
+        # the chunks only read it
+        oracle._ensure_primes(reach[1])
     if table is None:
         table = build_spf(need)
     elif table.limit < need:
@@ -776,29 +777,20 @@ def run_sweep(
     chunks = _chunks(ns)
     columns = [np.empty(rows, dtype) for dtype in _dtypes(spec, hi, options)]
     failures: list[int] = []
-    global _WORKER_STATE
-    _WORKER_STATE = (spec, options, rt)
-    try:
-        with contextlib.ExitStack() as stack:
-            chunk_map = map  # one worker: the chunks run in this process
-            if workers > 1:  # imported here, so a process that never forks skips them
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        chunk_map = map  # one worker: the chunks run in line
+        if workers > 1:  # imported here, so a sweep on one worker skips it
+            from concurrent.futures import ThreadPoolExecutor
 
-                if "fork" in multiprocessing.get_all_start_methods():
-                    ctx = multiprocessing.get_context("fork")
-                    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-                    chunk_map = stack.enter_context(pool).map
-            parts = chunk_map(_chunk_entry, chunks)
-            at = 0
-            for done, (part, part_failures) in enumerate(parts, start=1):
-                for column, values in zip(columns, part):
-                    column[at : at + len(values)] = values
-                at += len(part[0])
-                failures.extend(part_failures)
-                _progress(done, len(chunks))
-    finally:
-        _WORKER_STATE = None
+            chunk_map = stack.enter_context(ThreadPoolExecutor(workers)).map
+        parts = chunk_map(lambda chunk: _compute_chunk(spec, options, rt, chunk), chunks)
+        at = 0
+        for done, (part, part_failures) in enumerate(parts, start=1):
+            for column, values in zip(columns, part):
+                column[at : at + len(values)] = values
+            at += len(part[0])
+            failures.extend(part_failures)
+            _progress(done, len(chunks))
     return RangeReport(
         task=task,
         lo=lo,

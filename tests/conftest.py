@@ -65,7 +65,7 @@ def pi(table):
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """usable_cpus(k) makes this process appear to run on k CPUs, so that a
-    pooled sweep forks as many workers as a test asks for on any machine."""
+    pooled sweep starts as many workers as a test asks for on any machine."""
 
     def set_count(k):
         cpus = set(range(k))
@@ -78,17 +78,17 @@ def usable_cpus(monkeypatch):
 def pooled(usable_cpus, monkeypatch):
     """pooled(k, width) makes this process appear to run on k CPUs and cuts
     sweeps into chunks of width n, so that a sweep of a few thousand n runs
-    on a forked pool; it returns the list to which every pool started from
+    on a thread pool; it returns the list to which every pool started from
     then on appends its worker count."""
     started = []
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
+    class Spy(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    # run_sweep imports the pool class where it forks, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # run_sweep imports the pool class where it starts one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
 
     def set_up(k, width):
         usable_cpus(k)

@@ -205,7 +205,7 @@ def test_criterion_7_peculiar_proposition(table):
 
 def test_criterion_8_determinism(table, pooled):
     """1-worker and 8-worker sweeps over [2, 1e4] are byte-identical JSON."""
-    started = pooled(8, 512)  # 9999 n in 20 chunks, so that 8 workers fork
+    started = pooled(8, 512)  # 9999 n in 20 chunks, so that 8 workers start
     lo, hi = DETERMINISM_RANGE
     serial = run_sweep("binary", lo, hi, SweepOptions(threads=1), table=table)
     parallel = run_sweep("binary", lo, hi, SweepOptions(threads=8), table=table)

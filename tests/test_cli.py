@@ -102,14 +102,15 @@ def test_single_certify_rejects_sweep_flags(tmp_path, monkeypatch, capsys, flags
 
 def test_single_certificate_over_budget_exit_3(monkeypatch, capsys):
     # 10^10 + 19 takes the 9592 primes up to 10^5: the sieve's 100 KB fit
-    # in 1 MiB, the checks at 272 bytes each do not, and none is made
+    # in 1 MiB, the checks at 73 bytes each and the writer's slice of 9592
+    # rows of 11 + 3 * 6 + 44 characters do not, and none is made
     def refuse(*args, **kwargs):
         raise AssertionError("certify ran past the budget")
 
     monkeypatch.setattr(cli, "certify", refuse)
     monkeypatch.setenv("PHISYSTEMS_MEMORY_BUDGET", "1M")
     assert call_main(["certify", "10000000019", "--format", "csv"]) == 3
-    needed = (10**5 + 1) + 272 * 9592
+    needed = (10**5 + 1) + 73 * 9592 + 9592 * (4 * (11 + 3 * 6 + 44) + 64)
     assert capsys.readouterr().err == (
         "error: the certificate of 10000000019 with 9592 congruence checks "
         f"needs {needed} bytes, budget is {1 << 20}\n"
@@ -413,7 +414,7 @@ def test_int_arg_notation():
 
 
 def test_threads_do_not_change_bytes():
-    # 399999 n: three chunks of 2^17 n and one of 6783, so 5 threads fork a pool
+    # 399999 n: three chunks of 2^17 n and one of 6783, so 5 threads start a pool
     base = ("binary", "--from", "2", "--to", "400000", "--format", "json")
     one = run_cli(*base, "--threads", "1")
     many = run_cli(*base, "--threads", "5")

@@ -106,9 +106,13 @@ def test_sweep_of_one_chunk_on_two_threads_starts_no_worker():
     assert fresh_python(code).split() == ["0"]
 
 
+# the modules a pool of either kind imports
+POOL_MODULES = {"multiprocessing", "concurrent.futures.process", "concurrent.futures.thread"}
+
+
 def test_certify_sweep_on_two_threads_never_forks():
-    # 2^17 + 1 n on two usable CPUs are two chunks, but certify rows cost
-    # less than shipping them back from a worker: no pool module is imported
+    # 2^17 + 1 n on two usable CPUs are two chunks, run on a pool of two
+    # threads: no child process has ever ended
     code = (
         "import os, resource, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -117,9 +121,36 @@ def test_certify_sweep_on_two_threads_never_forks():
         f"argv = ['certify', '--from', '2', '--to', '131074', '--out', {os.devnull!r}]\n"
         "assert cli.main([*argv, '--threads', '2']) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        "print(*sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        f"print(*sorted({POOL_MODULES!r} & set(sys.modules)))"
     )
-    assert fresh_python(code).split() == ["0"]
+    assert fresh_python(code).split() == ["0", "concurrent.futures.thread"]
+
+
+POOLED_ROUTES = [
+    ["certify", "--from", "2", "--to", "1000"],
+    ["bertrand", "--from", "4", "--to", "1000"],
+    ["binary", "--from", "2", "--to", "1000"],
+    ["binary", "--from", "4", "--to", "1000", "--via-fermat"],
+    ["ternary", "--from", "7", "--to", "1001"],
+    ["peculiar", "--from", "7", "--to", "1001"],
+    ["proposition", "--from", "7", "--to", "1001"],
+]
+
+
+def test_pooled_sweeps_start_no_child_process():
+    # every route over chunks of 64 n on a pool of two threads: no child
+    # process has ever ended, and no process pool module is imported
+    code = (
+        "import os, resource, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from phisystems import cli, sweep\n"
+        "sweep._CHUNK = 64\n"
+        f"for argv in {POOLED_ROUTES!r}:\n"
+        f"    assert cli.main([*argv, '--threads', '2', '--out', {os.devnull!r}]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        f"print(*sorted({POOL_MODULES!r} & set(sys.modules)))"
+    )
+    assert fresh_python(code).split() == ["0", "concurrent.futures.thread"]
 
 
 # Each case: what the caller set, and the threads OpenBLAS then runs on 2 CPUs

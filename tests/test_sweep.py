@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phisystems import bertrand, goldbach, sweep
+from phisystems import bertrand, goldbach, oracle, sweep
 from phisystems.arith import PrimePi, build_spf
 from phisystems.certify import certify
 from phisystems.sweep import (
@@ -623,7 +624,7 @@ def test_reports_match_per_n_functions(table, reference_rows, pooled, route, mod
         for fmt in ("json", "csv"):
             expected = reference_bytes(task, lo, hi, rows, (), options.config(), fmt)
             assert emit_report(report, fmt) == expected
-    assert started == ([] if task == "certify" else [2])  # certify never forks
+    assert started == [2]
 
 
 WIDE_RANGES = {
@@ -655,7 +656,7 @@ def test_block_rows_match_per_n_functions_wide(
         report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
         assert list(report.per_n) == expected
         assert report.failures == ()
-    assert started == ([] if task == "certify" else [2])  # certify never forks
+    assert started == [2]
 
 
 def test_block_rows_skip_per_n_scans(table, monkeypatch):
@@ -771,8 +772,8 @@ def test_one_worker_runs_its_chunks_in_process(table, usable_cpus, monkeypatch):
 
     drawn = []
     usable_cpus(2)
-    # run_sweep imports the pool class where it forks, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # run_sweep imports the pool class where it starts one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(sweep, "_progress", lambda done, total: drawn.append(done))
     options = SweepOptions(first_witness_only=True)
     # 999 n fit one chunk, on any worker count
@@ -784,6 +785,48 @@ def test_one_worker_runs_its_chunks_in_process(table, usable_cpus, monkeypatch):
     monkeypatch.setattr(sweep, "_CHUNK", 400)
     run_sweep("binary", 2, 1000, options, table=table)
     assert drawn == [1, 2, 3]
+
+
+@pytest.fixture
+def cold_oracle(monkeypatch):
+    """An empty trial-division prime cache, the module's own put back after."""
+    monkeypatch.setattr(oracle, "_known_upto", 1)
+    monkeypatch.setattr(oracle, "_known_primes", [])
+    monkeypatch.setattr(oracle, "_known_set", set())
+
+
+def test_oracle_sweep_on_threads_from_a_cold_cache(table, pooled, cold_oracle):
+    # bertrand's oracle reads the cached prime list, so a list grown by two
+    # chunks at once, with repeats or out of order, miscounts
+    started = pooled(2, 16)  # 2997 n in 188 chunks
+    options = SweepOptions(verify_against_oracle=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock often
+    try:
+        parallel = run_sweep("bertrand", 4, 3000, replace(options, threads=2), table=table)
+    finally:
+        sys.setswitchinterval(interval)
+    assert started == [2]
+    # 2n - 3 at n = 3000 is the largest limit the oracle takes
+    assert oracle._known_primes == table.prime_list[: bisect_right(table.prime_list, 5997)]
+    serial = run_sweep("bertrand", 4, 3000, options, table=table)
+    assert parallel.failures == serial.failures == ()
+    assert emit_report(parallel, "csv") == emit_report(serial, "csv")
+
+
+def test_oracle_cache_is_grown_before_the_chunks(table, pooled, cold_oracle, monkeypatch):
+    pooled(2, 64)  # 2997 n in 47 chunks
+    entries = []
+    honest = sweep._compute_chunk
+
+    def recording(spec, options, rt, ns):
+        entries.append(oracle._known_upto)
+        return honest(spec, options, rt, ns)
+
+    monkeypatch.setattr(sweep, "_compute_chunk", recording)
+    options = SweepOptions(verify_against_oracle=True, threads=2)
+    assert run_sweep("bertrand", 4, 3000, options, table=table).failures == ()
+    assert entries == [5997] * 47
 
 
 def test_certify_rows(table):
@@ -820,7 +863,7 @@ HIGH = (10**6 - 200, 10**6)
 
 
 def test_certify_sweep_certifies_only_the_swept_n(reference_rows, pooled, monkeypatch):
-    started = pooled(2, 64)  # 201 n in 4 chunks, all run in this process
+    started = pooled(2, 64)  # 201 n in 4 chunks, on a pool of 2 threads
     blocks = []
     honest = sweep.certify_block
 
@@ -842,7 +885,7 @@ def test_certify_sweep_certifies_only_the_swept_n(reference_rows, pooled, monkey
                 )
                 assert emit_report(report, fmt) == expected
     assert blocks == [(lo, hi, 201)] * 4
-    assert started == []  # certify never forks
+    assert started == [2, 2]  # one pool per sweep on 2 threads, each block built once
 
 
 def _flip(mask: np.ndarray, i: int) -> np.ndarray:
