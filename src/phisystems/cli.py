@@ -213,32 +213,31 @@ def main(argv=None) -> int:
 
     try:
         _write(parts, args.out, "report")
-        if report is not None and args.emit_counts:
+        if report is None:
+            return EXIT_OK
+        if args.emit_counts:
             _write(_report_slices(report, "counts"), args.emit_counts, "counts")
+        print(
+            f"{report.task} [{report.lo}, {report.hi}]: checked {report.checked}, "
+            f"failures {len(report.failures)}, {report.elapsed:.2f}s",
+            file=sys.stderr,
+        )
+        for n in report.failures[:10]:
+            print(f"FAIL: check did not hold at n={n}", file=sys.stderr)
+        if len(report.failures) > 10:
+            print(f"... and {len(report.failures) - 10} more", file=sys.stderr)
     except BrokenPipeError:
-        # the interpreter flushes stdout once more as it exits; send what is
-        # left to /dev/null, so that flush cannot fail too
+        # the interpreter flushes stdout and stderr once more as it exits;
+        # send what is left to /dev/null, so that flush cannot fail too
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except OSError as exc:  # an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if report is None:
-        return EXIT_OK
-    print(
-        f"{report.task} [{report.lo}, {report.hi}]: checked {report.checked}, "
-        f"failures {len(report.failures)}, {report.elapsed:.2f}s",
-        file=sys.stderr,
-    )
-    if report.failures:
-        for n in report.failures[:10]:
-            print(f"FAIL: check did not hold at n={n}", file=sys.stderr)
-        if len(report.failures) > 10:
-            print(f"... and {len(report.failures) - 10} more", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_FAILURE if report.failures else EXIT_OK
 
 
 def entry() -> None:

@@ -542,15 +542,16 @@ def two_prime_sum_exists(total: int, table: SpfTable) -> bool:
     return False
 
 
-# The first block of primes _two_prime_sums flattens; each next block is
-# eight times wider. Nearly every total closes on a prime below it.
+# The first block of values _primes_from flattens; each next block is eight
+# times wider. Nearly every total of _two_prime_sums closes on a prime below
+# it, and bertrand's next prime past a chunk lies in it.
 _SUM_BLOCK = 1 << 12
 
 
-def _primes_below(mask: np.ndarray, stop: int):
-    """The primes of mask below stop, ascending, flattened a block at a
+def _primes_from(mask: np.ndarray, lo: int, stop: int):
+    """The primes of mask in [lo, stop), ascending, flattened a block at a
     time from _SUM_BLOCK values on, each block eight times wider."""
-    lo, width = 0, _SUM_BLOCK
+    width = _SUM_BLOCK
     while lo < stop:
         hi = min(lo + width, stop)
         yield from np.flatnonzero(mask[lo:hi]) + lo
@@ -568,7 +569,7 @@ def _two_prime_sums(totals: range, table: SpfTable) -> np.ndarray:
     out = np.zeros(len(totals), dtype=np.bool_)
     open_ = np.ones(len(totals), dtype=np.bool_)
     mask = table.is_prime_mask
-    primes = _primes_below(mask, totals[-1] // 2 + 1 if totals else 0)
+    primes = _primes_from(mask, 0, totals[-1] // 2 + 1 if totals else 0)
     for p in primes:
         first = max(0, -(-(2 * p - totals.start) // totals.step))  # total >= 2p
         open_[:first] = False

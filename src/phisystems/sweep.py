@@ -48,6 +48,7 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import goldbach, oracle
 from .arith import PrimePi, SpfTable, _sieve_bytes, build_spf
-from .certify import Certificate, _block_bytes, certify_block
+from .certify import Certificate, Verdict, _block_bytes, certify_block
 
 __all__ = [
     "CSV_HEADER",
@@ -65,7 +66,6 @@ __all__ = [
     "RangeReport",
     "SweepOptions",
     "TASKS",
-    "emit_counts",
     "emit_report",
     "run_sweep",
 ]
@@ -73,7 +73,8 @@ __all__ = [
 TASKS = ("certify", "bertrand", "binary", "ternary", "peculiar", "proposition")
 FORMATS = ("json", "csv", "table")
 CSV_HEADER = "n,witness_count,first_witness"
-_VERDICT_NAMES = ("Composite", "Prime")  # a certify row's x indexes these
+# a certify row's x indexes these
+_VERDICT_NAMES = (Verdict.COMPOSITE.value, Verdict.PRIME.value)
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
 
@@ -140,21 +141,6 @@ class RangeReport:
     @property
     def checked(self) -> int:
         return len(self.ns)
-
-    @property
-    def per_n(self) -> tuple[tuple, ...]:
-        """The rows as (n, witness_count, first_witness) tuples of Python
-        values, built on each access: the first witness is an int, an
-        (x, y) pair, a verdict name, or None. No sweep or report reads it."""
-        x = self.x.tolist()
-        if self.task == "certify":
-            cells = [_VERDICT_NAMES[v] for v in x]
-        elif self.y is not None:
-            cells = list(zip(x, self.y.tolist()))
-        else:
-            cells = x
-        cells = [cell if v >= 0 else None for cell, v in zip(cells, x)]
-        return tuple(zip(self.ns, self.count.tolist(), cells))
 
 
 _ROW_SLICE = 1 << 14  # report rows rendered at a time, so their passes stay in cache
@@ -362,20 +348,17 @@ def _certificate_slices(cert: Certificate, fmt: str) -> Iterator[bytes]:
 
 
 def emit_report(report: RangeReport, fmt: str) -> bytes:
-    """Render a report as bytes: json, csv, or human-aligned table.
+    """Render a report as bytes: json, csv, human-aligned table, or counts.
 
     json mirrors the report fields minus elapsed; csv is the fixed header
-    n,witness_count,first_witness plus one row per n (pairs as "x:y").
-    Counts are identical across formats.
+    n,witness_count,first_witness plus one row per n (pairs as "x:y");
+    counts is the (n, witness_count) CSV of --emit-counts, for external
+    plotting. Counts are identical across formats.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    formats = (*FORMATS, "counts")
+    if fmt not in formats:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {formats}")
     return b"".join(_report_slices(report, fmt))
-
-
-def emit_counts(report: RangeReport) -> bytes:
-    """(n, witness_count) rows as CSV, for external plotting."""
-    return b"".join(_report_slices(report, "counts"))
 
 
 class _Runtime(NamedTuple):
@@ -439,22 +422,12 @@ def _rows_certify(ns, rt, options):
     return ok, (ok.astype(np.uint8), verdicts.astype(np.uint8))
 
 
-_GAP_WINDOW = 64  # values past a bertrand chunk first searched for the next prime
-
-
 def _rows_bertrand(ns, rt, options):
     a, b = ns.start, ns[-1]
     n = np.arange(a, b + 1)
     mask, top = rt.primes, 2 * b - 2
-    # the next prime above b, or top when none lies below it (b >= 4), from
-    # a stretch past the chunk that doubles until it holds a prime or
-    # reaches top, so that argmax copies a few gaps, never all up to top
-    width = _GAP_WINDOW
-    while not mask[b + 1 : b + 1 + width].any() and b + 1 + width < top:
-        width *= 2
-    past = mask[b + 1 : min(b + 1 + width, top)]
-    i = int(past.argmax())
-    beyond = b + 1 + i if past[i] else top
+    # the next prime above b, or top when none lies below it (b >= 4)
+    beyond = next(goldbach._primes_from(mask, b + 1, top), top)
     # the primes p with a < p <= b, then the next one
     primes = np.append(np.flatnonzero(mask[a + 1 : b + 1]) + a + 1, beyond)
     after = np.searchsorted(primes, n, side="right")  # the first prime above n
@@ -530,7 +503,8 @@ def _oracle_certify(n, rt):
 
 
 def _oracle_bertrand(n, rt):
-    return sum(1 for p in oracle.trial_primes_upto(2 * n - 3) if p > n)
+    primes = oracle.trial_primes_upto(2 * n - 3)
+    return len(primes) - bisect_right(primes, n)
 
 
 def _oracle_binary(n, rt):

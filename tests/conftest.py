@@ -52,6 +52,31 @@ def child_peak_rss(args, env=None):
     return returncode, 1024 * kib, proc.stderr  # ru_maxrss is in KiB on Linux
 
 
+def row_columns(task, rows):
+    """The n, count, x and y columns of (n, count, first witness) rows, as
+    the lists a RangeReport's columns give: x is -1 where no witness was
+    found, and a certify row's x indexes the verdict words; y is None but
+    for the triple tasks."""
+    fws = [fw for _, _, fw in rows]
+    x = [
+        -1 if fw is None
+        else fw[0] if isinstance(fw, tuple)
+        else sweep._VERDICT_NAMES.index(fw) if isinstance(fw, str)
+        else fw
+        for fw in fws
+    ]
+    y = None
+    if task in ("ternary", "peculiar", "proposition"):
+        y = [-1 if fw is None else fw[1] for fw in fws]
+    return [n for n, _, _ in rows], [c for _, c, _ in rows], x, y
+
+
+def report_columns(report):
+    """The n, count, x and y columns of a RangeReport as lists."""
+    y = None if report.y is None else report.y.tolist()
+    return list(report.ns), report.count.tolist(), report.x.tolist(), y
+
+
 @pytest.fixture(scope="session")
 def table():
     return build_spf(TABLE_LIMIT).warm()

@@ -178,6 +178,33 @@ def test_closed_stdout_exits_141_quietly(lines):
     assert stderr == b""
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_closed_stderr_exits_141(tmp_path, out):
+    # stderr's reader is gone before the run starts, as with
+    # `2>&1 >/dev/null | head -0`: the report is written whole, the summary
+    # line after it breaks the pipe, and no traceback or failed flush at
+    # exit turns that into 1 or 120
+    path = tmp_path / "report.csv"
+    argv = ["binary", "--from", "2", "--to", "20", "--first-witness-only", "--format", "csv"]
+    argv += ["--out", str(path)] if out else []
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "phisystems", *argv],
+            stdout=subprocess.PIPE,
+            stderr=write,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    report = path.read_bytes() if out else proc.stdout
+    assert report.startswith(b"n,witness_count,first_witness\n2,1,0\n")
+    assert report.endswith(b"\n20,1,3\n")
+
+
 @pytest.mark.parametrize("flag", ["--out", "--emit-counts"])
 def test_unwritable_output_path_exits_2(tmp_path, flag):
     path = tmp_path / "missing" / "x.csv"
@@ -447,6 +474,18 @@ def test_out_and_emit_counts(tmp_path):
     assert counts[0] == "n,witness_count"
     assert counts[1] == "2,1"
     assert len(counts) == 1 + 19  # the header and one line per n
+
+
+def test_emit_report_counts_matches_emit_counts(tmp_path):
+    # ternary rows carry a pair cell and triple counts past 9; --emit-counts
+    # writes what emit_report renders as "counts"
+    counts_path = tmp_path / "counts.csv"
+    argv = ["ternary", "--from", "7", "--to", "301", "--emit-counts", str(counts_path)]
+    assert call_main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
+    report = sweep.run_sweep("ternary", 7, 301)
+    assert sweep.emit_report(report, "counts") == counts_path.read_bytes()
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        sweep.emit_report(report, "xml")
 
 
 def test_conjecture_failure_exits_1_and_prints_n(monkeypatch, capfd):

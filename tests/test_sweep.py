@@ -22,10 +22,11 @@ from phisystems.sweep import (
     TASKS,
     RangeReport,
     SweepOptions,
-    emit_counts,
     emit_report,
     run_sweep,
 )
+
+from conftest import report_columns, row_columns
 
 # The per-row renderer that the columnar writer replaced, kept here as the
 # independent side of the writer tests: f-strings and json.dumps of tuples.
@@ -73,28 +74,17 @@ def reference_bytes(task, lo, hi, rows, failures, config, fmt, elapsed=0.0) -> b
 def columns_report(task, lo, hi, ns, cells, failures=(), config=None, elapsed=0.0):
     """A RangeReport whose columns hold the (count, first witness) cells
     of the n of ns."""
-    fws = [fw for _, fw in cells]
-    x = [
-        -1 if fw is None
-        else fw[0] if isinstance(fw, tuple)
-        else sweep._VERDICT_NAMES.index(fw) if isinstance(fw, str)
-        else fw
-        for fw in fws
-    ]
-    y = None
-    if task in ("ternary", "peculiar", "proposition"):
-        y = np.array([-1 if fw is None else fw[1] for fw in fws], dtype=np.int64)
-    count = np.array([c for c, _ in cells], dtype=np.int64)
+    _, count, x, y = row_columns(task, [(n, c, fw) for n, (c, fw) in zip(ns, cells)])
     return RangeReport(
         task,
         lo,
         hi,
         ns,
-        count,
+        np.array(count, dtype=np.int64),
         np.array(x, dtype=np.int64),
         tuple(failures),
         config or {},
-        y=y,
+        y=None if y is None else np.array(y, dtype=np.int64),
         elapsed=elapsed,
     )
 
@@ -103,18 +93,18 @@ def test_binary_sweep_example(table):
     report = run_sweep("binary", 2, 1000, table=table)
     assert report.failures == ()
     assert report.checked == 999
-    assert report.per_n[0] == (2, 1, 0)
+    assert (report.ns[0], report.count[0], report.x[0]) == (2, 1, 0)
 
 
 def test_bertrand_single_n_example(table):
     report = run_sweep("bertrand", 4, 4, table=table)
-    assert report.per_n == ((4, 1, 1),)
+    assert report_columns(report) == ([4], [1], [1], None)
     assert report.failures == ()
 
 
 def test_ternary_single_n_example(table):
     report = run_sweep("ternary", 7, 7, table=table)
-    assert report.per_n == ((7, 1, (5, 0)),)
+    assert report_columns(report) == ([7], [1], [5], [0])
 
 
 def test_csv_header_and_row(table):
@@ -138,7 +128,7 @@ def test_json_round_trip(table):
         "checked": report.checked,
         "failures": list(report.failures),
         "config": report.config,
-        "per_n": [[n, c, list(fw)] for n, c, fw in report.per_n],
+        "per_n": [[n, c, [x, y]] for n, c, x, y in zip(*report_columns(report))],
     }
 
 
@@ -156,7 +146,7 @@ def test_counts_identical_across_formats(table):
         for line in emit_report(report, "csv").decode().splitlines()[1:]
     ]
     json_counts = [c for _, c, _ in json.loads(emit_report(report, "json"))["per_n"]]
-    assert csv_counts == json_counts == [c for _, c, _ in report.per_n]
+    assert csv_counts == json_counts == report.count.tolist()
 
 
 BINARY_2_40_TABLE = """\
@@ -277,18 +267,13 @@ def _fw_values(kind):
     return st.sampled_from(sweep._VERDICT_NAMES)
 
 
-def _render(report, fmt):
-    return emit_counts(report) if fmt == "counts" else emit_report(report, fmt)
-
-
 def _assert_writer_matches_reference(task, lo, hi, ns, cells, failures, elapsed):
     config = {"first_witness_only": False}
     report = columns_report(task, lo, hi, ns, cells, failures, config, elapsed)
     rows = [(n, c, fw) for n, (c, fw) in zip(ns, cells)]
-    assert report.per_n == tuple(rows)
     for fmt in FORMATS:
         expected = reference_bytes(task, lo, hi, rows, failures, config, fmt, elapsed)
-        assert _render(report, fmt) == expected, fmt
+        assert emit_report(report, fmt) == expected, fmt
 
 
 @pytest.mark.parametrize("kind", KIND_TASKS)
@@ -364,7 +349,7 @@ def test_columns_take_their_dtypes(table, route, first_witness_only):
         y=None if report.y is None else report.y.astype(np.int64),
     )
     for fmt in FORMATS:
-        assert _render(report, fmt) == _render(wide, fmt), fmt
+        assert emit_report(report, fmt) == emit_report(wide, fmt), fmt
 
 
 @pytest.mark.parametrize("route", COLUMN_DTYPES)
@@ -418,7 +403,7 @@ def test_narrow_columns_match_the_int64_reference(route, first_witness_only):
             expected = reference_bytes(
                 task, ns[0], ns[-1], rows, (), options.config(), fmt
             )
-            assert _render(report, fmt) == expected, fmt
+            assert emit_report(report, fmt) == expected, fmt
 
 
 def reference_certificate(m, primes, full_checks, fmt) -> bytes:
@@ -502,7 +487,7 @@ def test_text_renderers_peak_near_their_output():
     renderers = {
         "csv": lambda: emit_report(report, "csv"),
         "table": lambda: emit_report(report, "table"),
-        "counts": lambda: emit_counts(report),
+        "counts": lambda: emit_report(report, "counts"),
     }
     ratios = {}
     for name, render in renderers.items():
@@ -518,7 +503,7 @@ def test_text_renderers_peak_near_their_output():
 
 def test_emit_counts(table):
     report = run_sweep("binary", 2, 6, table=table)
-    assert emit_counts(report).decode().splitlines() == [
+    assert emit_report(report, "counts").decode().splitlines() == [
         "n,witness_count",
         "2,1",
         "3,1",
@@ -541,26 +526,27 @@ def test_deterministic_across_worker_counts(table, pooled):
 
 def test_domain_filtering(table):
     report = run_sweep("ternary", 2, 11, table=table)
-    assert [n for n, _, _ in report.per_n] == [7, 9, 11]
+    assert list(report.ns) == [7, 9, 11]
     report = run_sweep("bertrand", 0, 5, table=table)
-    assert [n for n, _, _ in report.per_n] == [4, 5]
+    assert list(report.ns) == [4, 5]
     # via-fermat needs n > 3
     report = run_sweep("binary", 2, 6, SweepOptions(via_fermat=True), table=table)
-    assert [n for n, _, _ in report.per_n] == [4, 5, 6]
+    assert list(report.ns) == [4, 5, 6]
 
 
 def test_via_fermat_matches_sieve_route(table):
     direct = run_sweep("binary", 4, 300, table=table)
     fermat = run_sweep("binary", 4, 300, SweepOptions(via_fermat=True), table=table)
-    assert [r for r in fermat.per_n] == [r for r in direct.per_n]
+    assert report_columns(fermat) == report_columns(direct)
 
 
 def test_first_witness_mode(table):
     full = run_sweep("peculiar", 7, 301, table=table)
     quick = run_sweep("peculiar", 7, 301, SweepOptions(first_witness_only=True), table=table)
     assert quick.failures == full.failures == ()
-    assert all(c == 1 for _, c, _ in quick.per_n)
-    assert [(n, fw) for n, _, fw in quick.per_n] == [(n, fw) for n, _, fw in full.per_n]
+    assert (quick.count == 1).all()
+    assert quick.ns == full.ns
+    assert report_columns(quick)[2:] == report_columns(full)[2:]  # x and y
 
 
 @pytest.mark.parametrize(
@@ -578,7 +564,7 @@ def test_verify_against_oracle_smoke(task, lo, hi):
     options = SweepOptions(verify_against_oracle=True)
     report = run_sweep(task, lo, hi, options)
     assert report.failures == ()
-    assert all(c >= 1 for _, c, _ in report.per_n)
+    assert (report.count >= 1).all()
 
 
 @pytest.mark.parametrize(
@@ -654,7 +640,7 @@ def test_block_rows_match_per_n_functions_wide(
     expected = reference_rows(task, lo, hi, options)
     for threads in (1, 2):
         report = run_sweep(task, lo, hi, replace(options, threads=threads), table=table)
-        assert list(report.per_n) == expected
+        assert report_columns(report) == row_columns(task, expected)
         assert report.failures == ()
     assert started == [2]
 
@@ -681,12 +667,6 @@ def test_block_rows_skip_per_n_scans(table, monkeypatch):
             )
             report = run_sweep(task, lo, hi, options, table=table)
             assert report.failures == ()
-            for n, count, fw in report.per_n:
-                assert type(n) is int and type(count) is int
-                if type(fw) is tuple:
-                    assert [type(v) for v in fw] == [int, int]
-                else:
-                    assert type(fw) in (int, str)
 
 
 def test_sieve_sweeps_leave_the_prime_list_unbuilt():
@@ -730,15 +710,16 @@ def test_pair_kernel_misses_take_the_fallback_or_fail(
         options = SweepOptions(first_witness_only=first_witness_only)
         # ternary takes the scan over larger q, which reads the sieve
         ternary = run_sweep("ternary", lo, hi, options, table=table)
-        assert list(ternary.per_n) == reference_rows("ternary", lo, hi, options)
+        expected = reference_rows("ternary", lo, hi, options)
+        assert report_columns(ternary) == row_columns("ternary", expected)
         assert ternary.failures == ()
         # peculiar has no other q, and proposition's other side reads the sieve
         peculiar = run_sweep("peculiar", lo, hi, options, table=table)
         assert peculiar.failures == missed
         proposition = run_sweep("proposition", lo, hi, options, table=table)
         assert proposition.failures == missed
-        rows = {n: (count, fw) for n, count, fw in proposition.per_n}
-        assert all(rows[n] == (0, None) for n in missed)
+        at = [proposition.ns.index(n) for n in missed]
+        assert not proposition.count[at].any() and (proposition.x[at] == -1).all()
 
 
 def test_worker_count_capped_at_usable_cpus(usable_cpus, monkeypatch):
@@ -831,8 +812,8 @@ def test_oracle_cache_is_grown_before_the_chunks(table, pooled, cold_oracle, mon
 
 def test_certify_rows(table):
     report = run_sweep("certify", 2, 12, table=table)
-    fws = {n: fw for n, _, fw in report.per_n}
-    assert fws[7] == "Prime" and fws[12] == "Composite"
+    verdicts = [sweep._VERDICT_NAMES[v] for v in report.x]
+    assert verdicts[7 - 2] == "Prime" and verdicts[12 - 2] == "Composite"
     assert report.failures == ()
 
 
@@ -855,8 +836,8 @@ def test_rejects_bad_arguments(table):
 
 def test_failure_invariants(table):
     report = run_sweep("binary", 2, 400, table=table)
-    assert all(lo_n >= 1 for _, lo_n, _ in report.per_n)
-    assert set(report.failures) <= {n for n, _, _ in report.per_n}
+    assert (report.count >= 1).all()
+    assert set(report.failures) <= set(report.ns)
 
 
 HIGH = (10**6 - 200, 10**6)
@@ -911,7 +892,8 @@ def test_certify_sweep_flags_a_wrong_verdict(monkeypatch):
     for options in (plain, checked):
         report = run_sweep("certify", lo, hi, options, table=table)
         assert report.failures == (n,)
-        assert (n, 0, "Composite") in report.per_n
+        at = report.ns.index(n)
+        assert (report.count[at], sweep._VERDICT_NAMES[report.x[at]]) == (0, "Composite")
     # a sieve that agrees with the wrong verdict is caught by the oracle alone
     table.is_prime_mask = _flip(table.is_prime_mask, n)
     assert run_sweep("certify", lo, hi, plain, table=table).failures == ()
@@ -972,12 +954,12 @@ def _assert_bertrand_matches_the_whole_prefix(table, lo, hi):
 # each hi is a prime followed by a gap wider than the first window: 72 after
 # 31397, 112 after 370261 and 114 after 492113
 @pytest.mark.parametrize("hi", [31_397, 370_261, 492_113])
-@pytest.mark.parametrize("window", [1, 3, sweep._GAP_WINDOW])
+@pytest.mark.parametrize("window", [1, 3, goldbach._SUM_BLOCK])
 def test_bertrand_next_prime_window_doubles(wide_table, monkeypatch, hi, window):
     # chunks of 1000 n end at hi and below it; past 492113 a first window
-    # of 1 value doubles six times
+    # of 1 value grows three times, to 8, 64 and 512 values
     monkeypatch.setattr(sweep, "_CHUNK", 1000)
-    monkeypatch.setattr(sweep, "_GAP_WINDOW", window)
+    monkeypatch.setattr(goldbach, "_SUM_BLOCK", window)
     _assert_bertrand_matches_the_whole_prefix(wide_table, hi - 4999, hi)
 
 
