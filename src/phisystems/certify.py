@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .arith import SpfTable
 
 __all__ = [
@@ -71,6 +70,8 @@ def fermat_congruence_holds(m: int, p: int) -> bool:
     any operand width. A single passing congruence proves nothing about
     m itself; only the full system up to isqrt(m) does.
     """
+    from . import oracle  # loaded by this argument check alone
+
     if m < 1:
         raise ValueError(f"m must be a natural number >= 1, got {m}")
     if p < 2 or not oracle.oracle_is_prime(p):

@@ -14,7 +14,6 @@ does.
 """
 
 import argparse
-import decimal
 import gc
 import math
 import os
@@ -44,7 +43,14 @@ _INT_DIGITS = 4300  # int() reads at most this many digits from a string
 
 def _int_arg(text: str) -> int:
     """Integer CLI argument, read exactly; tolerates underscores and 1e6-style
-    notation. The exponent is checked first, so 1e999999999 fails at once."""
+    notation. The exponent is checked first, so 1e999999999 fails at once.
+    Plain integers skip decimal, which only the notation needs."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    import decimal
+
     try:
         value = decimal.Decimal(text.replace("_", ""))
         exact = value.is_finite() and value.adjusted() < _INT_DIGITS
@@ -164,6 +170,26 @@ def _single_certificate(args, budget: int) -> Iterator[bytes]:
     return _certificate_slices(certify(m, table, full_checks=True), args.format)
 
 
+def _discard_output() -> None:
+    """Send what is left of stdout and stderr to /dev/null once a reader is
+    gone: the interpreter flushes both once more as it exits, and that
+    flush must not fail too."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, sys.stderr.fileno())
+    os.close(devnull)
+
+
+def _error(exc: Exception, status: int) -> int:
+    """Print the error line of exc on stderr and return status; with
+    stderr's reader gone the line is lost, the status is not."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        _discard_output()
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -184,8 +210,7 @@ def main(argv=None) -> int:
         if os.environ.get(BUDGET_ENV):
             budget = _parse_budget(os.environ[BUDGET_ENV])
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
 
     report = None
     try:
@@ -205,11 +230,9 @@ def main(argv=None) -> int:
             # rendered a slice at a time while it is written
             parts = _report_slices(report, args.format)
     except MemoryBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _error(exc, EXIT_RESOURCE)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
 
     try:
         _write(parts, args.out, "report")
@@ -227,16 +250,10 @@ def main(argv=None) -> int:
         if len(report.failures) > 10:
             print(f"... and {len(report.failures) - 10} more", file=sys.stderr)
     except BrokenPipeError:
-        # the interpreter flushes stdout and stderr once more as it exits;
-        # send what is left to /dev/null, so that flush cannot fail too
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.dup2(devnull, sys.stderr.fileno())
-        os.close(devnull)
+        _discard_output()
         return EXIT_BROKEN_PIPE
     except OSError as exc:  # an unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     return EXIT_FAILURE if report.failures else EXIT_OK
 
 

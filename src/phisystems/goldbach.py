@@ -17,10 +17,12 @@ ties the triple form back to the pair form at total n - 3.
 ``count_table`` gives the pair, triple or triple-with-3 count of every n
 up to a bound at once, from exact FFT convolutions of the odd values of a
 primality mask: the sieve's, or a certify block for the congruence form.
-Sweeps in count mode read it; the per-n functions stay the reference it is
-tested against. A float convolution is accepted only when every value lies
-within 0.25 of an integer and the rounded values sum to the product of the
-input sums, an exact integer identity; otherwise it raises, with no fallback.
+Sweeps in count mode read it, or on a narrow range the mask-level kernels
+that ``binary_count`` and ``peculiar_count`` call, one n at a time; the
+per-n functions stay the reference it is tested against. A float
+convolution is accepted only when every value lies within 0.25 of an
+integer and the rounded values sum to the product of the input sums, an
+exact integer identity; otherwise it raises, with no fallback.
 
 ``first_pair_y_block`` gives the first pair witness of every total 2m of a
 block at once, in two phases. On a run of consecutive m, as sweeps pass,
@@ -412,12 +414,17 @@ def peculiar_solutions(n: int, table: SpfTable) -> list[TernaryWitness]:
 def peculiar_count(n: int, table: SpfTable) -> int:
     """len(peculiar_solutions(n)) without enumerating all triples."""
     _validate_odd_n(n, table)
-    mask = table.is_prime_mask
+    return _peculiar_count(n, table.is_prime_mask)
+
+
+def _peculiar_count(n: int, mask: np.ndarray) -> int:
+    """Number of triple splits of an odd n > 5 with p = 3 or q = 3, from a
+    primality mask through n - 5, in three byte passes over it."""
     # q = 3 branch: any pair split of n - 3 qualifies
     count = _pair_count(n - 3, mask)
-    # p = 3 branch with q != 3: q >= 5 and r = n - 3 - q >= 3 both prime
-    qs = np.flatnonzero(mask[5 : n - 5]) + 5
-    count += int(np.count_nonzero(mask[n - 3 - qs]))
+    # p = 3 branch with q != 3: q >= 5 and r = n - 3 - q >= 3 both prime,
+    # q running up over [5, n - 6] as r runs down over [3, n - 8]
+    count += int(np.count_nonzero(mask[5 : n - 5] & mask[3 : n - 7][::-1]))
     return count
 
 
@@ -469,15 +476,24 @@ def _exact_convolution(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
     return rounded[:keep].astype(np.int64)
 
 
+def _packed_odd(task: str, hi: int) -> int:
+    """The number of odd values count_table(task, hi) packs."""
+    return hi if task == "binary" else (hi + 1) // 2
+
+
+def _count_table_length(task: str, hi: int) -> int:
+    """The length of count_table(task, hi)'s FFT, as _exact_convolution picks it."""
+    return 1 << (2 * _packed_odd(task, hi) - 2).bit_length()
+
+
 def _count_table_bytes(task: str, hi: int) -> tuple[int, str]:
     """What count_table(task, hi) holds at its peak, and what it is: 8 bytes
     per n of counts, 17 per packed odd value (its byte, ordered and half)
     and 36 per point of one FFT (ternary's second is as long), its result
     included: at 2^20 to 2^24 points tracemalloc puts numpy's buffers at
     20, and RSS grows by 32-33 with pocketfft's work space (numpy 2.4)."""
-    odd = hi if task == "binary" else (hi + 1) // 2
-    length = 1 << (2 * odd - 2).bit_length()  # as _exact_convolution picks it
-    nbytes = 8 * (hi + 1) + 17 * odd + 36 * length
+    length = _count_table_length(task, hi)
+    nbytes = 8 * (hi + 1) + 17 * _packed_odd(task, hi) + 36 * length
     return nbytes, f"FFT convolution of length {length}"
 
 

@@ -74,11 +74,16 @@ def _ensure_primes(limit: int) -> None:
 
 def trial_primes_upto(limit: int) -> list[int]:
     """Primes <= limit, each certified by oracle_is_prime."""
+    return _known_primes[: _trial_prime_count(limit)]
+
+
+def _trial_prime_count(limit: int) -> int:
+    """len(trial_primes_upto(limit)), counted in the cache without a copy."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     _refuse_past_limit("limit", limit)
     _ensure_primes(limit)
-    return _known_primes[: bisect_right(_known_primes, limit)]
+    return bisect_right(_known_primes, limit)
 
 
 def oracle_pairs(total: int) -> PairDecomposition:

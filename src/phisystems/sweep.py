@@ -6,7 +6,10 @@ the trial-division oracle expects. The rows read one primality mask: the
 sieve's, the congruence verdicts of ``binary --via-fermat``, or one
 ``certify.certify_block`` of the swept n. In count mode the pair, triple
 and triple-with-3 rows read every count from one ``goldbach.count_table``
-over that mask.
+over that mask, except where a pair or triple-with-3 range is so narrow
+that counting each of its n by byte passes over the mask reads fewer
+bytes than a measured constant times the FFT's points and bits: then the
+swept n alone are counted, and no FFT runs.
 
 A task's rows take a whole chunk of n at once and come from array passes
 over it: the first pair witnesses from ``goldbach.first_pair_y_block``
@@ -43,19 +46,17 @@ table format.
 """
 
 import contextlib
-import json
 import math
 import os
 import sys
 import time
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import goldbach, oracle
+from . import goldbach
 from .arith import PrimePi, SpfTable, _sieve_bytes, build_spf
 from .certify import Certificate, Verdict, _block_bytes, certify_block
 
@@ -263,6 +264,15 @@ def _segments(report: RangeReport, fmt: str, rows: slice, pads) -> list[_Seg]:
     return [between, _Seg(b"["), n, sep, count, sep, *cell, null, _Seg(b"]")]
 
 
+def _json_head(header: dict, key: str) -> bytes:
+    """The compact JSON of header, left open with key as its last key and
+    the opening of its list of rows: the rows go in that same object."""
+    import json  # loaded by a JSON head alone
+
+    opened = json.dumps(header, separators=(",", ":"))[:-1]
+    return f'{opened},"{key}":['.encode()
+
+
 def _report_slices(report: RangeReport, fmt: str) -> Iterator[bytes]:
     """The report in fmt, one of FORMATS or "counts", as consecutive byte
     strings: the head, a slice of _ROW_SLICE rows at a time, and the tail.
@@ -276,9 +286,7 @@ def _report_slices(report: RangeReport, fmt: str) -> Iterator[bytes]:
             "failures": report.failures,
             "config": report.config,
         }
-        # the rows go in as the last key of the same object
-        head = json.dumps(header, separators=(",", ":"))[:-1].encode() + b',"per_n":['
-        tail = b"]}\n"
+        head, tail = _json_head(header, "per_n"), b"]}\n"
     elif fmt == "csv":
         head = (CSV_HEADER + "\n").encode()
     elif fmt == "counts":
@@ -315,9 +323,7 @@ def _certificate_slices(cert: Certificate, fmt: str) -> Iterator[bytes]:
     base, tail = str(m).encode(), b""
     if fmt == "json":
         header = {"subject": m, "verdict": cert.verdict.value, "failing_modulus": failing}
-        # the checks go in as the last key of the same object
-        head = json.dumps(header, separators=(",", ":"))[:-1].encode() + b',"checks":['
-        tail = b"]}\n"
+        head, tail = _json_head(header, "checks"), b"]}\n"
     elif fmt == "csv":
         head = b"modulus,base,exponent,residue\n"
     else:
@@ -368,7 +374,8 @@ class _Runtime(NamedTuple):
     primes: np.ndarray  # the primality the rows read: primes[n - base] is that of n
     base: int = 0
     pi: PrimePi | None = None
-    counts: np.ndarray | None = None
+    counts: np.ndarray | None = None  # counts[n - counts_base] is the count of n
+    counts_base: int = 0
 
 
 class _Table(NamedTuple):
@@ -383,12 +390,58 @@ _PRIME_COUNTS = _Table(  # PrimePi keeps a uint32 running sum per value
     lambda task, ns, hi, need: (4 * (need + 1), f"prime counts over [0, {need}]"),
     lambda task, rt, ns, hi: rt._replace(pi=PrimePi.from_spf(rt.table)),
 )
-_COUNTS = _Table(
-    lambda task, ns, hi, need: goldbach._count_table_bytes(task, hi),
-    lambda task, rt, ns, hi: rt._replace(
-        counts=goldbach.count_table(task, hi, rt.primes)
-    ),
-)
+
+
+# The per-n count of one n from the mask, for the tasks that have one, and
+# the bytes it reads per unit of n: the two slices of n values of the pairs
+# of 2n; the two of (n - 3) / 2 values of peculiar's q = 3 branch and the
+# two of n - 10 of its p = 3 branch. A ternary count of one n takes about
+# pi(n) n / 2, so ternary always takes count_table.
+_PER_N_COUNTS = {
+    "binary": (lambda n, mask: goldbach._pair_count(2 * n, mask), 2),
+    "peculiar": (goldbach._peculiar_count, 3),
+}
+# What count_table costs per point of its FFT length L and bit of L, in
+# bytes read by the per-n counts: it takes 1.3-2.1 ns a point and bit for L
+# from 2^14 to 2^20 (3.6 ns at 2^23), where the per-n counts take 0.40-0.45
+# ns a byte for n from 10^4 to 4 * 10^6 (2-vCPU guest, numpy 2.4, medians
+# of 7 to 30 runs).
+_FFT_BYTES = 4
+
+
+def _per_n_count(task: str, ns: range, hi: int) -> Callable | None:
+    """The per-n count of task, where its passes over the swept n read fewer
+    bytes than _FFT_BYTES per point and bit of count_table's FFT; None where
+    count_table costs less."""
+    if task not in _PER_N_COUNTS:
+        return None
+    count, reads = _PER_N_COUNTS[task]
+    rows = max(0, (hi - ns.start) // ns.step + 1)
+    last = ns.start + (rows - 1) * ns.step
+    length = goldbach._count_table_length(task, hi)
+    fft = _FFT_BYTES * length * (length.bit_length() - 1)
+    return count if reads * rows * (ns.start + last) // 2 < fft else None
+
+
+def _counts_bytes(task, ns, hi, need):
+    """The per-n counts hold an int64 per n from the first swept n to hi and
+    one pass's bytes, fewer than hi; count_table holds what it counts."""
+    if _per_n_count(task, ns, hi) is None:
+        return goldbach._count_table_bytes(task, hi)
+    return 8 * max(0, hi - ns.start + 1) + hi, f"per-n counts over [{ns.start}, {hi}]"
+
+
+def _build_counts(task, rt, ns, hi):
+    count = _per_n_count(task, ns, hi)
+    if count is None:
+        return rt._replace(counts=goldbach.count_table(task, hi, rt.primes))
+    counts = np.zeros(max(0, hi - ns.start + 1), dtype=np.int64)
+    for n in ns:
+        counts[n - ns.start] = count(n, rt.primes)
+    return rt._replace(counts=counts, counts_base=ns.start)
+
+
+_COUNTS = _Table(_counts_bytes, _build_counts)
 # the congruence route reads verdicts, never the sieve: a block from 0
 # through 2 hi - 1, all that count_table and the pair kernel read
 _VERDICTS = _Table(
@@ -454,7 +507,8 @@ def _count_rows(ns, found, witnesses, rt, options):
     """Rows of a task whose count is rt.counts[n] outside first-witness mode."""
     if options.first_witness_only:
         return found, (found.astype(np.uint8), *witnesses)
-    counts = rt.counts[ns.start : ns.stop : ns.step]
+    base = rt.counts_base
+    counts = rt.counts[ns.start - base : ns.stop - base : ns.step]
     return found & (counts >= 1), (counts, *witnesses)
 
 
@@ -497,31 +551,32 @@ def _rows_proposition(ns, rt, options):
 
 
 # Oracles give the count a row should report, by trial division; certify
-# and proposition rows count 1 when their check holds against it.
-def _oracle_certify(n, rt):
+# and proposition rows count 1 when their check holds against it. They take
+# the oracle module, which only --verify-against-oracle loads.
+def _oracle_certify(oracle, n, rt):
     return int(oracle.oracle_is_prime(n) == bool(rt.table.is_prime_mask[n]))
 
 
-def _oracle_bertrand(n, rt):
-    primes = oracle.trial_primes_upto(2 * n - 3)
-    return len(primes) - bisect_right(primes, n)
+def _oracle_bertrand(oracle, n, rt):
+    return oracle._trial_prime_count(2 * n - 3) - oracle._trial_prime_count(n)
 
 
-def _oracle_binary(n, rt):
+def _oracle_binary(oracle, n, rt):
     # 2 + (2n - 2) is a split only at n = 2, so every pair counts
     return len(oracle.oracle_pairs(2 * n).pairs)
 
 
-def _oracle_ternary(n, rt):
+def _oracle_ternary(oracle, n, rt):
     return len(oracle.oracle_triples(n))
 
 
-def _oracle_peculiar(n, rt):
+def _oracle_peculiar(oracle, n, rt):
     return sum(1 for p, q, _ in oracle.oracle_triples(n) if p == 3 or q == 3)
 
 
-def _oracle_proposition(n, rt):
-    return int((_oracle_peculiar(n, rt) > 0) == bool(oracle.oracle_pairs(n - 3).pairs))
+def _oracle_proposition(oracle, n, rt):
+    peculiar = _oracle_peculiar(oracle, n, rt) > 0
+    return int(peculiar == bool(oracle.oracle_pairs(n - 3).pairs))
 
 
 def _value_dtype(hi: int) -> type:
@@ -554,7 +609,7 @@ class _Task(NamedTuple):
     first: int  # eligible n: first, first + step, ... up to hi
     step: int
     rows: Callable  # (ns, rt, options) -> (ok, columns)
-    oracle: Callable  # (n, rt) -> the count the row should report
+    oracle: Callable  # (oracle module, n, rt) -> the count the row should report
     # n -> the name and value of the largest argument the oracle takes at
     # n, which ORACLE_LIMIT bounds; None when the oracle has no bound
     reach: Callable[[int], tuple[str, int]] | None
@@ -656,10 +711,12 @@ def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[i
 def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
     ok, columns = spec.rows(ns, rt, options)
     if options.verify_against_oracle:
+        from . import oracle
+
         counts = columns[0]
         exists = options.first_witness_only  # rows count 1 when a witness exists
         for i in np.flatnonzero(ok).tolist():
-            expected = spec.oracle(ns[i], rt)
+            expected = spec.oracle(oracle, ns[i], rt)
             count = int(counts[i])
             ok[i] = (expected > 0) == (count > 0) if exists else expected == count
     failures = [ns[i] for i in np.flatnonzero(~ok).tolist()]
@@ -730,6 +787,8 @@ def run_sweep(
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
     reach = None
     if options.verify_against_oracle and ns and spec.reach:
+        from . import oracle
+
         reach = spec.reach(ns[-1])
         oracle._refuse_past_limit(*reach)
     need = max(spec.sieve(hi), 4)

@@ -205,6 +205,35 @@ def test_closed_stderr_exits_141(tmp_path, out):
     assert report.endswith(b"\n20,1,3\n")
 
 
+@pytest.mark.parametrize(
+    "args, env, status",
+    [
+        ("binary --from 2 --to 10 --out {missing}", {}, 2),
+        ("binary --from 2 --to 10 --emit-counts {missing}", {}, 2),
+        ("binary --from 10 --to 2", {}, 2),
+        ("certify 29", {"PHISYSTEMS_MEMORY_BUDGET": "lots"}, 2),
+        ("certify --from 2 --to 1e19", {}, 3),
+    ],
+)
+def test_closed_stderr_keeps_the_error_status(tmp_path, args, env, status):
+    # `2>&1 >/dev/null | head -0`: the error line finds no reader, and the
+    # run still exits with the status of its error, not 1, a found failure
+    argv = args.format(missing=tmp_path / "missing" / "x.csv").split()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "phisystems", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=write,
+            env={**os.environ, "PYTHONPATH": SRC, **env},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == status
+
+
 @pytest.mark.parametrize("flag", ["--out", "--emit-counts"])
 def test_unwritable_output_path_exits_2(tmp_path, flag):
     path = tmp_path / "missing" / "x.csv"

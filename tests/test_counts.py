@@ -1,9 +1,12 @@
-"""count_table against the per-n count functions it replaces in sweeps."""
+"""count_table against the per-n count functions it replaces in sweeps, and
+the two count routes of a sweep against each other."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phisystems import goldbach
+from phisystems import goldbach, sweep
 from phisystems.certify import certify_block
 from phisystems.goldbach import (
     binary_count,
@@ -171,3 +174,80 @@ def test_sweep_count_mode_skips_per_n_counts(table, monkeypatch):
     assert run_sweep("peculiar", 7, 51, table=table).failures == ()
     via_fermat = SweepOptions(via_fermat=True)
     assert run_sweep("binary", 4, 50, via_fermat, table=table).failures == ()
+
+
+# (task, via_fermat) of the routes that count narrow ranges one n at a time
+PER_N_ROUTES = [("binary", False), ("binary", True), ("peculiar", False)]
+# ranges of 1, 2 and 5 n from n = 2, 3, 4, 7 and 9, both parities of each
+# end, and a few higher up, where the p = 3 branch of peculiar counts too
+NARROW = [(lo, lo + width - 1) for lo in (2, 3, 4, 7, 9) for width in (1, 2, 5)]
+NARROW += [(8, 8), (8, 9), (9, 15), (1000, 1000), (1001, 1001), (1000, 1004)]
+
+
+def _route_reports(task, lo, hi, via_fermat, table, monkeypatch, fft_bytes=None):
+    """The report of a count sweep, with its elapsed time zeroed, and whether
+    count_table ran; fft_bytes, when given, replaces the cost rule's constant."""
+    calls = []
+    honest = goldbach.count_table
+
+    def recording(*args):
+        calls.append(args)
+        return honest(*args)
+
+    with monkeypatch.context() as patch:
+        if fft_bytes is not None:
+            patch.setattr(sweep, "_FFT_BYTES", fft_bytes)
+        patch.setattr(goldbach, "count_table", recording)
+        report = run_sweep(task, lo, hi, SweepOptions(via_fermat=via_fermat), table=table)
+    return replace(report, elapsed=0.0), bool(calls)
+
+
+def _rendered(report):
+    return [emit_report(report, fmt) for fmt in ("json", "csv", "table", "counts")]
+
+
+def _assert_routes_agree(task, lo, hi, via_fermat, table, monkeypatch, expected_fft):
+    """The sweep's own route is the expected one, and it renders every format
+    and the counts file byte for byte as count_table's route does. A range
+    without eligible n may take either."""
+    own, fft = _route_reports(task, lo, hi, via_fermat, table, monkeypatch)
+    assert fft == expected_fft or not own.checked, (task, lo, hi, via_fermat)
+    reference, fft = _route_reports(task, lo, hi, via_fermat, table, monkeypatch, 0)
+    assert fft
+    assert _rendered(own) == _rendered(reference), (task, lo, hi, via_fermat)
+    assert own.failures == reference.failures
+
+
+@pytest.mark.parametrize("task, via_fermat", PER_N_ROUTES)
+def test_narrow_count_ranges_match_count_table(table, monkeypatch, task, via_fermat):
+    for lo, hi in NARROW:
+        _assert_routes_agree(task, lo, hi, via_fermat, table, monkeypatch, False)
+    # a wide range counted one n at a time, against the cost rule
+    per_n, fft = _route_reports(task, 2, 3000, via_fermat, table, monkeypatch, 10**9)
+    reference, _ = _route_reports(task, 2, 3000, via_fermat, table, monkeypatch, 0)
+    assert not fft
+    assert _rendered(per_n) == _rendered(reference)
+
+
+def _per_n_rows(task, hi):
+    """The most rows ending at hi that the cost rule counts one n at a time."""
+    step = 2 if task == "peculiar" else 1
+    rows = 1
+    while sweep._per_n_count(task, range(hi - rows * step, hi + 1, step), hi):
+        rows += 1  # rows + 1 n ending at hi are counted one at a time
+    return rows
+
+
+@pytest.mark.parametrize("task, via_fermat", PER_N_ROUTES)
+@pytest.mark.parametrize("hi", [3000, 3001, 20_000, 20_001])
+def test_count_routes_agree_across_the_crossover(
+    table, monkeypatch, task, via_fermat, hi
+):
+    if task == "peculiar" and hi % 2 == 0:
+        hi -= 1  # peculiar's n are odd: 2999 and 19999 stand in
+    step = 2 if task == "peculiar" else 1
+    rows = _per_n_rows(task, hi)
+    assert 1 < rows < 500
+    for k, expected_fft in [(rows - 1, False), (rows, False), (rows + 1, True)]:
+        lo = hi - (k - 1) * step
+        _assert_routes_agree(task, lo, hi, via_fermat, table, monkeypatch, expected_fft)

@@ -72,6 +72,43 @@ def test_the_program_exits_with_a_frozen_heap(budget, status):
     assert fresh_python(code, PHISYSTEMS_MEMORY_BUDGET=budget).split() == [str(status), "True"]
 
 
+# the modules a run loads only when it needs them
+ON_DEMAND = ["decimal", "json", "numpy.fft", "phisystems.bertrand", "phisystems.oracle"]
+
+
+def _loaded_on_demand(argv: list[str]) -> list[str]:
+    """The modules of ON_DEMAND that running the program with argv loads, in
+    a fresh interpreter, as python -m phisystems runs it."""
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['phisystems', *{argv!r}, '--out', {os.devnull!r}]\n"
+        "try:\n"
+        "    runpy.run_module('phisystems', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"print(*sorted(set({ON_DEMAND!r}) & set(sys.modules)))"
+    )
+    return fresh_python(code).split()
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        ("binary --from 59950 --to 59950 --format csv", ""),
+        ("peculiar --from 99899 --to 99899 --format csv", ""),
+        ("certify --from 2 --to 99", ""),
+        ("binary --from 99 --to 99 --verify-against-oracle", "phisystems.oracle"),
+        ("bertrand --from 4 --to 99 --format json", "json"),
+        ("certify 97 --format json", "json"),
+        # a wide count range takes the FFT, and 1e4 the decimal notation
+        ("binary --from 2 --to 1e4 --format csv", "decimal numpy.fft"),
+        ("peculiar --from 7 --to 10000 --format csv", "numpy.fft"),
+    ],
+)
+def test_a_run_loads_what_it_uses(args, loaded):
+    assert _loaded_on_demand(args.split()) == loaded.split()
+
+
 def test_main_leaves_the_heap_collectable(capsys):
     assert gc.get_freeze_count() == 0
     assert cli.main(["certify", "29"]) == 0
@@ -238,6 +275,13 @@ ROUTES = {
         ["binary", "--via-fermat", "--from", "4", "--to", "2000"],
         "prime sieve over [2, 63], 1997 report rows, verdict table over [0, 3999] "
         "and FFT convolution of length 4096 needs 915352 bytes",
+    ),
+    # one n, counted alone: 2000 + 1 sieve bytes; 4 + 4 + 48 + 24 * 965 + 240
+    # for the row (w = 4000, the sieve); 8 bytes of counts and 2000 of a pass
+    "one-n": (
+        ["binary", "--from", "2000", "--to", "2000"],
+        "prime sieve over [2, 4000], 1 report rows and per-n counts over [2000, 2000] "
+        "needs 29465 bytes",
     ),
     # no count table
     "first-witness": (
