@@ -74,55 +74,10 @@ _LAZY = {
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "BertrandWitness",
-    "BinaryWitness",
-    "CSV_HEADER",
-    "Certificate",
-    "DEFAULT_MEMORY_BUDGET",
-    "MemoryBudgetError",
-    "ORACLE_LIMIT",
-    "PairDecomposition",
-    "PrimePi",
-    "RangeReport",
-    "SpfTable",
-    "SweepOptions",
-    "TASKS",
-    "TernaryWitness",
-    "Verdict",
-    "bertrand_count",
-    "bertrand_solutions",
-    "binary_count",
-    "binary_solutions",
-    "build_spf",
-    "certify",
-    "certify_block",
-    "certify_verdict",
-    "count_identity_check",
-    "count_table",
-    "decomposition_to_xy",
-    "emit_report",
-    "fermat_congruence_holds",
-    "fermat_system_solutions",
-    "first_bertrand_witness",
-    "first_binary_witness",
-    "first_pair_y_block",
-    "first_peculiar_witness",
-    "first_ternary_witness",
-    "oracle_is_prime",
-    "oracle_pairs",
-    "oracle_triples",
-    "peculiar_count",
-    "peculiar_solutions",
-    "proposition_check",
-    "raw_form_solutions",
-    "run_sweep",
-    "substitution_bijection_check",
-    "ternary_count",
-    "ternary_solutions",
-    "trial_primes_upto",
-    "two_prime_sum_exists",
-]
+# the lazy modules' names are read from _LAZY, so that neither loads here
+__all__ = sorted(
+    [*arith.__all__, *_certify.__all__, *goldbach.__all__, *sweep.__all__, *_LAZY_HOME]
+)
 
 
 def __getattr__(name: str):

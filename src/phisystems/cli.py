@@ -5,12 +5,12 @@ writes exactly one report to stdout (or --out), with progress and summary
 lines on stderr only; ``certify m`` writes one certificate instead. The
 sweep's one writer renders both, and each is written a slice at a time.
 Exit codes: 0 when the statement held, 1 when a failure was found, 2 on
-usage errors (an unwritable --out or --emit-counts path among them), 3
-when a sweep's footprint, or the sieve or the checks of a single
-certificate, would exceed the memory budget (override with
-PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 + SIGPIPE), with no
-message, when the reader of the output closes it early, as ``| head``
-does.
+usage errors (an unwritable --out or --emit-counts path, or a closed
+stdout, among them), 3 when a sweep's footprint, or the sieve or the
+checks of a single certificate, would exceed the memory budget (override
+with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 + SIGPIPE), with
+no message, when the reader of the output closes it early, as ``| head``
+does. A closed stderr loses its lines; the run keeps its status.
 """
 
 import argparse
@@ -91,8 +91,30 @@ def build_parser() -> argparse.ArgumentParser:
         "peculiar": "triple splits whose first two components include the prime 3",
         "proposition": "triple-with-3 exists iff n-3 is a sum of two primes",
     }
+    # the flags every task takes, declared once and shared by each subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--from", dest="lo", type=_int_arg, help="range start")
+    common.add_argument("--to", dest="hi", type=_int_arg, help="range end (inclusive)")
+    common.add_argument("--format", choices=FORMATS, default="table")
+    common.add_argument("--out", help="write the report to this file instead of stdout")
+    common.add_argument(
+        "--first-witness-only",
+        action="store_true",
+        help="stop at the first witness per n; counts report found/not-found",
+    )
+    common.add_argument(
+        "--verify-against-oracle",
+        action="store_true",
+        help="cross-check every n against the trial-division oracle (slow)",
+    )
+    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument(
+        "--emit-counts",
+        metavar="PATH",
+        help="additionally write n,witness_count rows to PATH",
+    )
     for task in TASKS:
-        sp = sub.add_parser(task, help=descriptions[task])
+        sp = sub.add_parser(task, help=descriptions[task], parents=[common])
         if task == "certify":
             sp.add_argument(
                 "m",
@@ -100,46 +122,32 @@ def build_parser() -> argparse.ArgumentParser:
                 type=_int_arg,
                 help="certify a single value (omit to sweep --from/--to)",
             )
-        sp.add_argument("--from", dest="lo", type=_int_arg, help="range start")
-        sp.add_argument("--to", dest="hi", type=_int_arg, help="range end (inclusive)")
-        sp.add_argument("--format", choices=FORMATS, default="table")
-        sp.add_argument("--out", help="write the report to this file instead of stdout")
-        sp.add_argument(
-            "--first-witness-only",
-            action="store_true",
-            help="stop at the first witness per n; counts report found/not-found",
-        )
-        sp.add_argument(
-            "--verify-against-oracle",
-            action="store_true",
-            help="cross-check every n against the trial-division oracle (slow)",
-        )
         if task == "binary":
             sp.add_argument(
                 "--via-fermat",
                 action="store_true",
                 help="enumerate through paired congruence certifications (needs n > 3)",
             )
-        sp.add_argument("--threads", type=int, default=1, help="worker threads")
-        sp.add_argument(
-            "--emit-counts",
-            metavar="PATH",
-            help="additionally write n,witness_count rows to PATH",
-        )
     return parser
 
 
 def _write(parts: Iterable[bytes], path: str | None, what: str) -> None:
     """Write the parts to path, or to stdout without one, each as it comes."""
     if not path:
-        for part in parts:
-            sys.stdout.buffer.write(part)
-        sys.stdout.buffer.flush()
+        if sys.stdout is None:  # fd 1 was closed when the program started
+            raise OSError("stdout is closed")
+        try:
+            for part in parts:
+                sys.stdout.buffer.write(part)
+            sys.stdout.buffer.flush()
+        except OSError:  # what is left must not fail the exit's flush too
+            _discard(sys.stdout)
+            raise
         return
     with open(path, "wb") as fh:
         for part in parts:
             fh.write(part)
-    print(f"{what} written to {path}", file=sys.stderr)
+    _say(f"{what} written to {path}")
 
 
 # What one congruence check of a single certificate holds at certify's
@@ -170,23 +178,37 @@ def _single_certificate(args, budget: int) -> Iterator[bytes]:
     return _certificate_slices(certify(m, table, full_checks=True), args.format)
 
 
-def _discard_output() -> None:
-    """Send what is left of stdout and stderr to /dev/null once a reader is
-    gone: the interpreter flushes both once more as it exits, and that
-    flush must not fail too."""
+def _say(line: str) -> None:
+    """Print line on stderr, best effort: a closed stderr loses it. A reader
+    that has gone still raises BrokenPipeError, for the caller's status."""
+    if sys.stderr is None:  # fd 2 was closed when the program started
+        return
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        raise
+    except OSError:  # fd 2 open for reading only, as a closed stderr can be
+        _discard(sys.stderr)
+
+
+def _discard(*streams) -> None:
+    """Send what is left of streams to /dev/null once their reader is gone
+    or they cannot be written: the interpreter flushes them once more as it
+    exits, and that flush must not fail too."""
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.dup2(devnull, sys.stderr.fileno())
+    for stream in streams:
+        if stream is not None:
+            os.dup2(devnull, stream.fileno())
     os.close(devnull)
 
 
 def _error(exc: Exception, status: int) -> int:
     """Print the error line of exc on stderr and return status; with
-    stderr's reader gone the line is lost, the status is not."""
+    stderr closed or its reader gone the line is lost, the status is not."""
     try:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
     except BrokenPipeError:
-        _discard_output()
+        _discard(sys.stdout, sys.stderr)
     return status
 
 
@@ -240,19 +262,18 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.emit_counts:
             _write(_report_slices(report, "counts"), args.emit_counts, "counts")
-        print(
+        _say(
             f"{report.task} [{report.lo}, {report.hi}]: checked {report.checked}, "
-            f"failures {len(report.failures)}, {report.elapsed:.2f}s",
-            file=sys.stderr,
+            f"failures {len(report.failures)}, {report.elapsed:.2f}s"
         )
         for n in report.failures[:10]:
-            print(f"FAIL: check did not hold at n={n}", file=sys.stderr)
+            _say(f"FAIL: check did not hold at n={n}")
         if len(report.failures) > 10:
-            print(f"... and {len(report.failures) - 10} more", file=sys.stderr)
+            _say(f"... and {len(report.failures) - 10} more")
     except BrokenPipeError:
-        _discard_output()
+        _discard(sys.stdout, sys.stderr)
         return EXIT_BROKEN_PIPE
-    except OSError as exc:  # an unwritable output path
+    except OSError as exc:  # an unwritable output path, or a closed stdout
         return _error(exc, EXIT_USAGE)
     return EXIT_FAILURE if report.failures else EXIT_OK
 

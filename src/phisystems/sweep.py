@@ -750,7 +750,7 @@ def _chunks(ns: range) -> list[range]:
 
 
 def _progress(done: int, total: int) -> None:
-    if sys.stderr.isatty():
+    if sys.stderr is not None and sys.stderr.isatty():  # None: fd 2 closed
         end = "\n" if done == total else ""
         print(f"\rchunks {done}/{total}", end=end, file=sys.stderr, flush=True)
 

@@ -205,6 +205,20 @@ def test_closed_stderr_exits_141(tmp_path, out):
     assert report.endswith(b"\n20,1,3\n")
 
 
+# the csv report of binary on [2, 10]
+BINARY_2_10 = (
+    b"n,witness_count,first_witness\n2,1,0\n3,1,0\n4,1,1\n5,2,0\n6,1,1\n"
+    b"7,2,0\n8,2,3\n9,2,2\n10,2,3\n"
+)
+
+
+def run_redirected(argv, redirect, **kwargs):
+    """Run the program with argv from a shell that applies redirect, such as
+    2>&-, to the program's own file descriptors first."""
+    command = [sys.executable, "-m", "phisystems", *argv]
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *command], **kwargs)
+
+
 @pytest.mark.parametrize(
     "args, env, status",
     [
@@ -213,18 +227,30 @@ def test_closed_stderr_exits_141(tmp_path, out):
         ("binary --from 10 --to 2", {}, 2),
         ("certify 29", {"PHISYSTEMS_MEMORY_BUDGET": "lots"}, 2),
         ("certify --from 2 --to 1e19", {}, 3),
+        # stderr closed before the program starts (sys.stderr is None), or
+        # open for reading only, as a launcher script can leave a closed fd 2
+        ("binary --from 2 --to 10 --format csv 2>&-", {}, 0),
+        ("binary --from 2 --to 10 --format csv 2</dev/null", {}, 0),
+        ("binary --from 2 --to 10 --format csv 2>&-", {"PHISYSTEMS_MEMORY_BUDGET": "1"}, 3),
+        ("binary --from 2 --to 10 --format csv 2</dev/null", {"PHISYSTEMS_MEMORY_BUDGET": "1"}, 3),
+        ("binary --from 2 --to 10 --out {missing} 2>&-", {}, 2),
+        # stdout closed: an unwritable output
+        ("binary --from 2 --to 10 --format csv >&-", {}, 2),
     ],
 )
 def test_closed_stderr_keeps_the_error_status(tmp_path, args, env, status):
     # `2>&1 >/dev/null | head -0`: the error line finds no reader, and the
-    # run still exits with the status of its error, not 1, a found failure
+    # run still exits with the status of its error, not 1, a found failure;
+    # a closed stderr loses its lines the same way
     argv = args.format(missing=tmp_path / "missing" / "x.csv").split()
+    redirect = argv.pop() if re.fullmatch(r"[12]?[<>]\S*", argv[-1]) else ""
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "phisystems", *argv],
-            stdout=subprocess.DEVNULL,
+        proc = run_redirected(
+            argv,
+            redirect,
+            stdout=subprocess.PIPE,
             stderr=write,
             env={**os.environ, "PYTHONPATH": SRC, **env},
             timeout=60,
@@ -232,6 +258,44 @@ def test_closed_stderr_keeps_the_error_status(tmp_path, args, env, status):
     finally:
         os.close(write)
     assert proc.returncode == status
+    if status == 0:
+        assert proc.stdout == BINARY_2_10  # the report whole
+    assert b"error" not in proc.stdout  # nothing meant for stderr
+
+
+@pytest.mark.parametrize("redirect", [">&-", "1</dev/null"])
+def test_closed_stdout_exits_2_with_an_error_line(redirect):
+    # stdout closed, or open for reading only, is an unwritable output: an
+    # error line, not a traceback (exit 1) or a failed flush at exit (120)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = ["binary", "--from", "2", "--to", "10", "--format", "csv"]
+    proc = run_redirected(argv, redirect, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"error: [^\n]+\n", proc.stderr)
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_stderr_lines(monkeypatch, capsys, tmp_path, out):
+    # a pair kernel that finds nothing fails every n of [2, 20]: stderr gets
+    # the paths written, the summary, ten FAIL lines and a count of the
+    # rest; stdout gets the report alone, or nothing with --out
+    monkeypatch.setattr(goldbach, "first_pair_y_block", lambda m, mask: np.full(len(m), -1))
+    report, counts = tmp_path / "report.csv", tmp_path / "counts.csv"
+    argv = ["binary", "--from", "2", "--to", "20", "--first-witness-only", "--format", "csv"]
+    argv += ["--out", str(report), "--emit-counts", str(counts)] if out else []
+    assert call_main(argv) == 1
+    rows = "n,witness_count,first_witness\n" + "".join(f"{n},0,\n" for n in range(2, 21))
+    captured = capsys.readouterr()
+    assert captured.out == ("" if out else rows)
+    err = captured.err.splitlines()
+    if out:
+        assert report.read_text() == rows
+        assert err[:2] == [f"report written to {report}", f"counts written to {counts}"]
+        err = err[2:]
+    assert re.fullmatch(r"binary \[2, 20\]: checked 19, failures 19, \d+\.\d\ds", err[0])
+    fails = [f"FAIL: check did not hold at n={n}" for n in range(2, 12)]
+    assert err[1:] == [*fails, "... and 9 more"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--emit-counts"])
