@@ -5,9 +5,8 @@ statement and the two- and three-prime split conjectures as solvable
 systems of totient equations, each verified at desk scale against
 independent brute-force oracles.
 
-The package exports exactly the names in each module's ``__all__``.
-``bertrand`` and ``oracle``, which no sweep of the CLI needs unless it
-checks against the oracle, load on first use of their names.
+The package loads all six modules and exports exactly the names in each
+module's ``__all__``.
 """
 
 import gc as _gc
@@ -43,56 +42,19 @@ if "numpy" not in _sys.modules:
         if _collecting:
             _gc.enable()
 
-# arith and certify load eagerly: the name certify is the function, which a
-# later import of the module would rebind to the module
-from . import arith, certify as _certify, goldbach, sweep
+# the module certify is bound as _certify: the name certify is the function
+from . import arith, bertrand, certify as _certify, goldbach, oracle, sweep
 from .arith import *
+from .bertrand import *
 from .certify import *
 from .goldbach import *
+from .oracle import *
 from .sweep import *
 
 __version__ = "0.1.0"
 
-# the names of the modules loaded on first use, spelled out so that they
-# are known without loading them
-_LAZY = {
-    "bertrand": (
-        "BertrandWitness",
-        "bertrand_count",
-        "bertrand_solutions",
-        "count_identity_check",
-        "first_bertrand_witness",
-    ),
-    "oracle": (
-        "ORACLE_LIMIT",
-        "PairDecomposition",
-        "oracle_is_prime",
-        "oracle_pairs",
-        "oracle_triples",
-        "trial_primes_upto",
-    ),
-}
-_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-# the lazy modules' names are read from _LAZY, so that neither loads here
 __all__ = sorted(
-    [*arith.__all__, *_certify.__all__, *goldbach.__all__, *sweep.__all__, *_LAZY_HOME]
+    name
+    for module in (arith, bertrand, _certify, goldbach, oracle, sweep)
+    for name in module.__all__
 )
-
-
-def __getattr__(name: str):
-    """Load bertrand or oracle on first use of it or of a name it exports;
-    importing a submodule binds it as an attribute here too."""
-    from importlib import import_module
-
-    if name in _LAZY:
-        return import_module(f".{name}", __name__)
-    if name in _LAZY_HOME:
-        value = getattr(import_module(f".{_LAZY_HOME[name]}", __name__), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY_HOME})

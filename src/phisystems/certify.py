@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import SpfTable
+from .oracle import oracle_is_prime
 
 __all__ = [
     "Certificate",
@@ -70,11 +71,9 @@ def fermat_congruence_holds(m: int, p: int) -> bool:
     any operand width. A single passing congruence proves nothing about
     m itself; only the full system up to isqrt(m) does.
     """
-    from . import oracle  # loaded by this argument check alone
-
     if m < 1:
         raise ValueError(f"m must be a natural number >= 1, got {m}")
-    if p < 2 or not oracle.oracle_is_prime(p):
+    if p < 2 or not oracle_is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return pow(m, p - 1, p) == 1
 

@@ -215,6 +215,8 @@ def _error(exc: Exception, status: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     single = args.task == "certify" and args.m is not None
     sweep_only = {
         "--from": args.lo is not None,

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import goldbach
+from . import goldbach, oracle
 from .arith import PrimePi, SpfTable, _sieve_bytes, build_spf
 from .certify import Certificate, Verdict, _block_bytes, certify_block
 
@@ -156,21 +156,17 @@ def _slice_bytes(rows: int, chars: int) -> int:
 
 
 class _Seg(NamedTuple):
-    """One piece of every row of a slice: the literal text, one of the
-    words picked per row by values, or the digits of values, one per row,
-    trimmed or right-aligned in pad places. It is written on the rows where
-    rows is set, or on all."""
+    """One piece of every row of a slice: the literal text, or the digits
+    of values, one per row, trimmed or right-aligned in pad places. It is
+    written on the rows where rows is set, or on all."""
 
     text: bytes = b""
     values: np.ndarray | None = None
     rows: np.ndarray | None = None
     pad: int = 0
-    words: tuple[bytes, ...] = ()
 
 
 def _width(s: _Seg) -> int:
-    if s.words:
-        return max(map(len, s.words))
     if s.values is None:
         return len(s.text)
     return s.pad or len(str(int(s.values.max())))
@@ -208,9 +204,9 @@ def _rows_bytes(segments: list[_Seg], rows: int) -> bytes:
     """Lay the segments in one byte matrix, a row of it per place and a
     column per report row, so that each write is contiguous, and read it
     back a report row at a time without the places that hold 0: the
-    leading places of a short number, the end of a short word, and
-    segments off their rows. No report text holds a 0 byte. A segment that
-    no row writes takes no place."""
+    leading places of a short number and segments off their rows. No
+    report text holds a 0 byte. A segment that no row writes takes no
+    place."""
     segments = [s for s in segments if s.rows is None or s.rows.any()]
     widths = [_width(s) for s in segments]
     cells = np.empty((sum(widths), rows), np.uint8)
@@ -218,13 +214,7 @@ def _rows_bytes(segments: list[_Seg], rows: int) -> bytes:
     for s, width in zip(segments, widths):
         out = cells[at : at + width]
         at += width
-        if s.words:  # left-aligned, ended by 0s
-            words = np.zeros((width, len(s.words)), np.uint8)
-            for i, word in enumerate(s.words):
-                words[: len(word), i] = np.frombuffer(word, np.uint8)
-            # mode="wrap" takes -1, a row not written, as the last word
-            np.take(words, s.values, axis=1, out=out, mode="wrap")
-        elif s.values is None:
+        if s.values is None:
             out[:] = np.frombuffer(s.text, np.uint8)[:, None]
         else:
             _digits(s.values, out, s.pad)
@@ -247,8 +237,8 @@ def _segments(report: RangeReport, fmt: str, rows: slice, pads) -> list[_Seg]:
     json_ = fmt == "json"
     if report.task == "certify":
         quote = b'"' if json_ else b""
-        words = tuple(quote + v.encode() + quote for v in _VERDICT_NAMES)
-        cell = [_Seg(values=x, rows=found, words=words)]
+        verdicts = enumerate(_VERDICT_NAMES)  # one text a verdict, on its rows
+        cell = [_Seg(quote + v.encode() + quote, rows=x == i) for i, v in verdicts]
     elif report.y is not None:
         left, mid, right = (b"[", b",", b"]") if json_ else (b"", b":", b"")
         y = report.y[rows]
@@ -551,31 +541,30 @@ def _rows_proposition(ns, rt, options):
 
 
 # Oracles give the count a row should report, by trial division; certify
-# and proposition rows count 1 when their check holds against it. They take
-# the oracle module, which only --verify-against-oracle loads.
-def _oracle_certify(oracle, n, rt):
+# and proposition rows count 1 when their check holds against it.
+def _oracle_certify(n, rt):
     return int(oracle.oracle_is_prime(n) == bool(rt.table.is_prime_mask[n]))
 
 
-def _oracle_bertrand(oracle, n, rt):
+def _oracle_bertrand(n, rt):
     return oracle._trial_prime_count(2 * n - 3) - oracle._trial_prime_count(n)
 
 
-def _oracle_binary(oracle, n, rt):
+def _oracle_binary(n, rt):
     # 2 + (2n - 2) is a split only at n = 2, so every pair counts
     return len(oracle.oracle_pairs(2 * n).pairs)
 
 
-def _oracle_ternary(oracle, n, rt):
+def _oracle_ternary(n, rt):
     return len(oracle.oracle_triples(n))
 
 
-def _oracle_peculiar(oracle, n, rt):
+def _oracle_peculiar(n, rt):
     return sum(1 for p, q, _ in oracle.oracle_triples(n) if p == 3 or q == 3)
 
 
-def _oracle_proposition(oracle, n, rt):
-    peculiar = _oracle_peculiar(oracle, n, rt) > 0
+def _oracle_proposition(n, rt):
+    peculiar = _oracle_peculiar(n, rt) > 0
     return int(peculiar == bool(oracle.oracle_pairs(n - 3).pairs))
 
 
@@ -609,7 +598,7 @@ class _Task(NamedTuple):
     first: int  # eligible n: first, first + step, ... up to hi
     step: int
     rows: Callable  # (ns, rt, options) -> (ok, columns)
-    oracle: Callable  # (oracle module, n, rt) -> the count the row should report
+    oracle: Callable  # (n, rt) -> the count the row should report
     # n -> the name and value of the largest argument the oracle takes at
     # n, which ORACLE_LIMIT bounds; None when the oracle has no bound
     reach: Callable[[int], tuple[str, int]] | None
@@ -711,12 +700,10 @@ def _footprint(task, spec, ns, hi, need, rows, workers, options) -> list[tuple[i
 def _compute_chunk(spec: _Task, options: SweepOptions, rt: _Runtime, ns: range):
     ok, columns = spec.rows(ns, rt, options)
     if options.verify_against_oracle:
-        from . import oracle
-
         counts = columns[0]
         exists = options.first_witness_only  # rows count 1 when a witness exists
         for i in np.flatnonzero(ok).tolist():
-            expected = spec.oracle(oracle, ns[i], rt)
+            expected = spec.oracle(ns[i], rt)
             count = int(counts[i])
             ok[i] = (expected > 0) == (count > 0) if exists else expected == count
     failures = [ns[i] for i in np.flatnonzero(~ok).tolist()]
@@ -787,8 +774,6 @@ def run_sweep(
     ns = range(start + (start - spec.first) % spec.step, hi + 1, spec.step)
     reach = None
     if options.verify_against_oracle and ns and spec.reach:
-        from . import oracle
-
         reach = spec.reach(ns[-1])
         oracle._refuse_past_limit(*reach)
     need = max(spec.sieve(hi), 4)

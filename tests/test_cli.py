@@ -153,6 +153,8 @@ def test_usage_errors_exit_2():
     assert run_cli("binary", "--from", "2", "--to", "x").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("ternary", "--from", "7", "--to", "9", "--format", "yaml").returncode == 2
+    for threads in ("0", "-3"):
+        assert run_cli("binary", "--from", "2", "--to", "10", "--threads", threads).returncode == 2
 
 
 @pytest.mark.parametrize("lines", [0, 1])
