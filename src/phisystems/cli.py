@@ -5,12 +5,13 @@ writes exactly one report to stdout (or --out), with progress and summary
 lines on stderr only; ``certify m`` writes one certificate instead. The
 sweep's one writer renders both, and each is written a slice at a time.
 Exit codes: 0 when the statement held, 1 when a failure was found, 2 on
-usage errors (an unwritable --out or --emit-counts path, or a closed
-stdout, among them), 3 when a sweep's footprint, or the sieve or the
-checks of a single certificate, would exceed the memory budget (override
-with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141 (128 + SIGPIPE), with
-no message, when the reader of the output closes it early, as ``| head``
-does. A closed stderr loses its lines; the run keeps its status.
+usage errors (an unwritable --out or --emit-counts path, the two naming
+one file, or a closed stdout, among them), 3 when a sweep's footprint, or
+the sieve or the checks of a single certificate, would exceed the memory
+budget (override with PHISYSTEMS_MEMORY_BUDGET, e.g. "512M"), and 141
+(128 + SIGPIPE), with no message, when the reader of the output closes it
+early, as ``| head`` does. A closed stderr loses its lines; the run keeps
+its status.
 """
 
 import argparse
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
     if single and any(sweep_only.values()):
         given = ", ".join(flag for flag, on in sweep_only.items() if on)
         parser.error(f"a single m takes no {given}")
+    out, counts = (os.path.realpath(p) if p else None for p in (args.out, args.emit_counts))
+    if out and out == counts:  # the counts would overwrite the report
+        parser.error(f"--out and --emit-counts name the same file: {args.out}")
 
     budget = DEFAULT_MEMORY_BUDGET
     try:

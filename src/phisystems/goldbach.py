@@ -539,8 +539,8 @@ def count_table(task: str, hi: int, mask: np.ndarray) -> np.ndarray:
     else:
         # n = 2b + 1; q = 3 branch: pair splits of n - 3 = 2(b - 1); p = 3
         # branch: ordered odd-prime pairs (q, r) of n - 3 whose q is not 3
-        b = np.arange(3, len(odd))
-        counts[2 * b + 1] = half[b - 1] + ordered[b - 2] - odd[b - 3]
+        k = max(len(odd) - 3, 0)  # the n = 2b + 1 from 7 to hi, b from 3
+        counts[7::2] = half[2 : 2 + k] + ordered[1 : 1 + k] - odd[:k]
     return counts
 
 
@@ -574,17 +574,16 @@ def _primes_from(mask: np.ndarray, lo: int, stop: int):
         lo, width = hi, 8 * width
 
 
-def _two_prime_sums(totals: range, table: SpfTable) -> np.ndarray:
-    """two_prime_sum_exists for every total of a range, by rounds over the
-    primes up to max(totals) / 2: round p tests whether total - p is prime
-    for every total still open with p <= total / 2, smallest p first.
+def _two_prime_sums(totals: range, mask: np.ndarray) -> np.ndarray:
+    """two_prime_sum_exists over mask for every total of a range, by rounds
+    over its primes up to max(totals) / 2: round p tests whether total - p
+    is prime for every total still open with p <= total / 2, smallest p first.
 
     While most totals are open, round p reads total - p of every total
     from one strided slice of the mask, a view; then the totals still open
     are compacted and each round gathers theirs."""
     out = np.zeros(len(totals), dtype=np.bool_)
     open_ = np.ones(len(totals), dtype=np.bool_)
-    mask = table.is_prime_mask
     primes = _primes_from(mask, 0, totals[-1] // 2 + 1 if totals else 0)
     for p in primes:
         first = max(0, -(-(2 * p - totals.start) // totals.step))  # total >= 2p

@@ -18,11 +18,11 @@ prime is 3), which tries each offset y on the chunk's consecutive m of
 one parity at once, as three byte passes over two contiguous slices of
 the mask's odd values, then walks the few m left open over the mask's
 primes r >= m + y until 2m - r is prime too, reading a window a margin
-past the chunk; bertrand's next prime and prime count
-from ``searchsorted`` on the chunk's primes and a window below 2n - 2;
-and the certify rows from comparing the block with the sieve. Only a
-ternary n without a q = 3 witness, and the oracle check of
---verify-against-oracle, are handled one n at a time.
+past the chunk; bertrand's next prime from ``searchsorted`` on the chunk's
+primes and the next past them, and its prime count as one running sum
+over strided views of the mask; and the certify rows from comparing the
+block with the sieve. Only a ternary n without a q = 3 witness, and the
+oracle check of --verify-against-oracle, are handled one n at a time.
 
 Rows are columns from the chunk to the report, each of the narrowest
 dtype its values' bound allows: the witness count (uint8 where it is 0 or
@@ -473,23 +473,18 @@ def _rows_bertrand(ns, rt, options):
     beyond = next(goldbach._primes_from(mask, b + 1, top), top)
     # the primes p with a < p <= b, then the next one
     primes = np.append(np.flatnonzero(mask[a + 1 : b + 1]) + a + 1, beyond)
-    after = np.searchsorted(primes, n, side="right")  # the first prime above n
-    x = primes[after] - n
+    x = primes[np.searchsorted(primes, n, side="right")] - n  # the first prime above n
     found = x < n - 2  # that prime lies below 2n - 2
     x[~found] = -1
     if options.first_witness_only:
         return found, (found.astype(np.uint8), x)
-    # the primes in (n, 2n - 2) in three parts: the chunk's, those between
-    # the chunk and c = max(b + 1, 2a - 2), and those of a window [c, top);
-    # 2n - 2 lies in (b + 1, c) for no n of the chunk
-    c = max(b + 1, 2 * a - 2)
-    count = np.searchsorted(primes[:-1], 2 * n - 2) - after
-    del primes
-    count[2 * n - 2 > b + 1] += np.count_nonzero(mask[b + 1 : c])
-    count += np.searchsorted(np.flatnonzero(mask[c:top]) + c, 2 * n - 2)
-    # the identity count_identity_check states, against PrimePi's running sums
-    cumulative = rt.pi.cumulative
-    ok = (count >= 1) & (count == cumulative[2 * n - 2] - cumulative[n])
+    # the primes in (n, 2n - 2): counted at n = a, then one running sum, each
+    # step from n to n + 1 adding 2n - 2 and 2n - 1 and dropping n + 1
+    one = mask.view(np.int8)  # 1 at a prime, summed as a number
+    step = one[2 * a - 2 : top : 2] + one[2 * a - 1 : top + 1 : 2] - one[a + 1 : b + 1]
+    count = np.cumsum(np.append(np.count_nonzero(mask[a + 1 : 2 * a - 2]), step))
+    pi = rt.pi.cumulative  # the identity count_identity_check states, as two views
+    ok = (count >= 1) & (count == pi[2 * a - 2 : top + 1 : 2] - pi[a : b + 1])
     return ok, (count, x)
 
 
@@ -536,7 +531,7 @@ def _rows_proposition(ns, rt, options):
     # a sum of two primes, the right side by rounds over the mask's primes
     found, witnesses = _q3_witnesses(ns, rt)
     totals = range(ns.start - 3, ns.stop - 3, ns.step)
-    ok = found == goldbach._two_prime_sums(totals, rt.table)
+    ok = found == goldbach._two_prime_sums(totals, rt.primes)
     return ok, (ok.astype(np.uint8), *witnesses)
 
 
@@ -635,8 +630,9 @@ _SPECS = {
         lambda hi: hi, 2, 1, _rows_certify, _oracle_certify, None, (_BLOCK,),
         (_flag, _flag), row_bytes=24,
     ),
-    # the walk: the chunk's primes, then, not held with them, the primes of a
-    # window [c, 2 max(n) - 2) of at most 2 width values
+    # the walk: the chunk's primes and _primes_from's first block past it,
+    # _SUM_BLOCK values, wider than any prime gap below 2^64: at most 2 width
+    # values for chunks of _SUM_BLOCK n or more. The counts walk no primes.
     "bertrand": _Task(
         lambda hi: 2 * hi - 2, 4, 1, _rows_bertrand, _oracle_bertrand,
         lambda n: ("limit", 2 * n - 3), (_PRIME_COUNTS,),

@@ -571,6 +571,24 @@ def test_out_and_emit_counts(tmp_path):
     assert len(counts) == 1 + 19  # the header and one line per n
 
 
+def test_out_and_emit_counts_naming_one_file_exit_2(tmp_path, monkeypatch, capsys):
+    # the counts would overwrite the report: refused before any sweep runs,
+    # whatever the spelling of the one path
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    os.symlink(tmp_path / "F", tmp_path / "link")
+    argv = ["binary", "--from", "2", "--to", "10", "--format", "csv", "--out", "F"]
+    for counts in ("F", "./F", "d/../F", str(tmp_path / "F"), "link"):
+        assert call_main([*argv, "--emit-counts", counts]) == 2
+        err = capsys.readouterr().err
+        assert "error: --out and --emit-counts name the same file: F\n" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "link"]
+
+
 def test_emit_report_counts_matches_emit_counts(tmp_path):
     # ternary rows carry a pair cell and triple counts past 9; --emit-counts
     # writes what emit_report renders as "counts"

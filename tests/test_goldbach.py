@@ -405,9 +405,9 @@ class TestPairBlock:
     def test_two_prime_sums_one_total_at_a_time(self, table):
         # a total alone is still open after its last prime p <= total / 2
         for t in range(0, 300):
-            got = goldbach._two_prime_sums(range(t, t + 1), table).tolist()
+            got = goldbach._two_prime_sums(range(t, t + 1), table.is_prime_mask).tolist()
             assert got == [two_prime_sum_exists(t, table)]
-        assert goldbach._two_prime_sums(range(0), table).size == 0
+        assert goldbach._two_prime_sums(range(0), table.is_prime_mask).size == 0
 
     def test_two_prime_sums_match_the_scalar_scan(self, table):
         # the strided rounds, then the compacted ones, on both parities; on
@@ -421,5 +421,5 @@ class TestPairBlock:
         )
         for source in (table, sparse):
             for totals in (range(0, 20_001), range(4, 20_001, 2), range(1, 9_001, 2)):
-                got = goldbach._two_prime_sums(totals, source).tolist()
+                got = goldbach._two_prime_sums(totals, source.is_prime_mask).tolist()
                 assert got == [two_prime_sum_exists(t, source) for t in totals]

@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phisystems import bertrand, goldbach, oracle, sweep
-from phisystems.arith import PrimePi, build_spf
+from phisystems.arith import PrimePi, SpfTable, build_spf
 from phisystems.certify import certify
 from phisystems.sweep import (
     CSV_HEADER,
@@ -921,16 +920,16 @@ def test_windows_match_the_whole_prefix(wide_table, monkeypatch, lo, hi):
             patch.setattr(goldbach, "_PAIR_MARGIN", 2 * hi)
             patch.setattr(goldbach, "_SUM_BLOCK", hi)
             ys = goldbach.first_pair_y_block(m, mask)
-            sums = goldbach._two_prime_sums(totals, SimpleNamespace(is_prime_mask=mask))
+            sums = goldbach._two_prime_sums(totals, mask)
         # margins this small retry most of the top m, some of them many times
         for margin in (1, 3, 100, goldbach._PAIR_MARGIN):
             monkeypatch.setattr(goldbach, "_PAIR_MARGIN", margin)
             assert np.array_equal(goldbach.first_pair_y_block(m, mask), ys)
         for block in (1, 5, goldbach._SUM_BLOCK):
             monkeypatch.setattr(goldbach, "_SUM_BLOCK", block)
-            got = goldbach._two_prime_sums(totals, SimpleNamespace(is_prime_mask=mask))
+            got = goldbach._two_prime_sums(totals, mask)
             assert np.array_equal(got, sums)
-    for width in (7, 1000, 1 << 17):  # a stretch between chunk and window at 7
+    for width in (7, 1000, 1 << 17):  # at 7 most chunks seed far past 2 width
         monkeypatch.setattr(sweep, "_CHUNK", width)
         _assert_bertrand_matches_the_whole_prefix(wide_table, lo, hi)
 
@@ -961,6 +960,24 @@ def test_bertrand_next_prime_window_doubles(wide_table, monkeypatch, hi, window)
     monkeypatch.setattr(sweep, "_CHUNK", 1000)
     monkeypatch.setattr(goldbach, "_SUM_BLOCK", window)
     _assert_bertrand_matches_the_whole_prefix(wide_table, hi - 4999, hi)
+
+
+# k, whose 2k - 2 a doctored mask marks prime: the first n of a chunk of
+# 600 n (its seeding count), and an n inside one (a step of the sum); both
+# chunks start more than 2 * 600 past 4
+@pytest.mark.parametrize("k", [1804, 2500])
+def test_bertrand_identity_fails_where_the_mask_lies(monkeypatch, k):
+    # PrimePi from the same mask counts 2k - 2 in pi(2n - 2) - pi(n) from
+    # n = k on, the rows' open interval (n, 2n - 2), as bertrand_count does,
+    # from n = k + 1 on
+    monkeypatch.setattr(sweep, "_CHUNK", 600)  # chunks from 4, 604, 1204, 1804, ...
+    hi = 3000
+    mask = build_spf(2 * hi - 2).is_prime_mask.copy()
+    mask[2 * k - 2] = True
+    doctored = SpfTable(2 * hi - 2, mask)
+    report = run_sweep("bertrand", 4, hi, table=doctored)
+    assert report.failures == (k,)
+    assert report.count.tolist() == [bertrand.bertrand_count(n, doctored) for n in report.ns]
 
 
 def test_bertrand_chunk_peak_within_its_row_bytes():
